@@ -21,14 +21,13 @@ let read_program expr_opt file_opt =
     s
   | None, None -> failwith "provide a program with -e or a FILE argument"
 
-let options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after ~verify_each =
+let options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after =
   { Wolf_compiler.Options.default with
     abort_handling = not no_abort;
     inline_level = (if no_inline then 0 else 1);
     opt_level;
     self_name = self;
-    dump_after;
-    verify_each }
+    dump_after }
 
 (* shared flags *)
 let expr_arg =
@@ -48,11 +47,6 @@ let dump_after_arg =
   Arg.(value & opt_all string [] & info [ "dump-after" ] ~docv:"PASS"
          ~doc:"Dump the IR to stderr after $(docv) (repeatable; 'all' = every pass).")
 
-let verify_each_arg =
-  Arg.(value & flag & info [ "verify-each" ]
-         ~doc:"Run the full IR verifier after every pass and report its time \
-               per pass (see --timings).")
-
 let stage_arg =
   let stages =
     [ ("ast", `Ast); ("wir", `Wir); ("twir", `Twir); ("bytecode", `Bytecode);
@@ -62,13 +56,10 @@ let stage_arg =
          ~doc:"Representation to print: ast, wir, twir, bytecode, c, ocaml.")
 
 let emit_cmd =
-  let run stage expr file no_abort no_inline opt_level self dump_after
-      verify_each =
+  let run stage expr file no_abort no_inline opt_level self dump_after =
     Wolfram.init ();
     let src = read_program expr file in
-    let options =
-      options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after ~verify_each
-    in
+    let options = options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after in
     (match stage with
      | `Ast -> print_endline (Wolfram.compile_to_ast ~options src)
      | `Wir -> print_string (Wolfram.compile_to_ir ~options ~optimize:false src)
@@ -88,7 +79,7 @@ let emit_cmd =
   Cmd.v
     (Cmd.info "emit" ~doc:"Print an intermediate representation (CompileToAST/CompileToIR/FunctionCompileExportString).")
     Term.(const run $ stage_arg $ expr_arg $ file_arg $ no_abort $ no_inline
-          $ opt_level $ self $ dump_after_arg $ verify_each_arg)
+          $ opt_level $ self $ dump_after_arg)
 
 let parse_call_args s =
   if s = "" then []
@@ -114,21 +105,6 @@ let target_arg =
          ~doc:"Backend: jit (default), threaded, bytecode, tier.")
 
 (* --timings/--stats/--json reports for the run command *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let cache_json (s : Wolf_compiler.Compile_cache.stats) =
   Printf.sprintf
@@ -272,7 +248,7 @@ let print_program_stats (c : Wolf_compiler.Pipeline.compiled) =
 let run_cmd =
   let run expr file args target tier tier_threshold disk_cache parallel_loops
       parallel_report no_abort
-      no_inline opt_level self dump_after verify_each timings stats json
+      no_inline opt_level self dump_after timings stats json
       repeat profile profile_out trace_out metrics_out metrics_format =
     Wolfram.init ();
     let target = if tier then Wolfram.Tier else target in
@@ -282,8 +258,7 @@ let run_cmd =
     let profiling = profile || profile_out <> None in
     let options =
       apply_parallel_loops parallel_loops
-        { (options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after
-             ~verify_each)
+        { (options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after)
           with Wolf_compiler.Options.profile = profiling }
     in
     if profiling then Wolf_obs.Profile.set_enabled true;
@@ -322,7 +297,7 @@ let run_cmd =
     if json then begin
       let open Wolf_compiler in
       let fields =
-        [ Printf.sprintf "\"result\":\"%s\"" (json_escape result);
+        [ Printf.sprintf "\"result\":\"%s\"" (Wolf_obs.Json_min.escape result);
           Printf.sprintf "\"compile_seconds\":%.6f" compile_seconds ]
         @ (match pipeline with
            | Some c ->
@@ -448,7 +423,7 @@ let run_cmd =
     Term.(const run $ expr_arg $ file_arg $ args_arg $ target_arg $ tier_flag
           $ tier_threshold_arg $ disk_cache_arg $ parallel_loops_arg
           $ parallel_report_arg $ no_abort
-          $ no_inline $ opt_level $ self $ dump_after_arg $ verify_each_arg
+          $ no_inline $ opt_level $ self $ dump_after_arg
           $ timings_arg $ stats_arg $ json_arg $ repeat_arg $ profile_arg
           $ profile_out_arg $ trace_out_arg $ metrics_out_arg
           $ metrics_format_arg)
@@ -465,12 +440,10 @@ let eval_cmd =
 
 let build_cmd =
   let run expr file output cc cflags keep_c no_abort no_inline opt_level self
-      dump_after verify_each =
+      dump_after =
     Wolfram.init ();
     let src = read_program expr file in
-    let options =
-      options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after ~verify_each
-    in
+    let options = options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after in
     let output =
       match output, file with
       | Some o, _ -> o
@@ -533,7 +506,7 @@ let build_cmd =
              self-contained.")
     Term.(const run $ expr_arg $ file_arg $ output_arg $ cc_arg $ cflags_arg
           $ keep_c_arg $ no_abort $ no_inline $ opt_level $ self
-          $ dump_after_arg $ verify_each_arg)
+          $ dump_after_arg)
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
@@ -640,9 +613,9 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Differentially fuzz the compiler: random typed programs are run \
-             on every selected backend at O0/O1/O2 with --verify-each, \
-             results compared against the interpreter, and failures shrunk \
-             to minimal reproducers.")
+             on every selected backend at O0/O1/O2 with the IR verifier \
+             after every pass, results compared against the interpreter, \
+             and failures shrunk to minimal reproducers.")
     Term.(const run $ seed_arg $ count_arg $ max_size_arg $ backends_arg
           $ serve_socket_arg $ no_strings_arg $ corpus_arg $ quiet_arg
           $ jobs_arg $ trace_out_arg $ metrics_out_arg $ metrics_format_arg)
@@ -656,7 +629,6 @@ let compile_cmd =
     let jobs = resolve_jobs jobs in
     let options =
       options_of ~no_abort ~no_inline ~opt_level ~self:None ~dump_after:[]
-        ~verify_each:false
     in
     let t0 = Unix.gettimeofday () in
     (* Each file compiles on its own domain; identical sources collapse to
@@ -666,7 +638,6 @@ let compile_cmd =
       Wolf_parallel.Pool.map_list ~jobs files (fun file ->
           match
             let src = read_program None (Some file) in
-            (* per-file compile name: the pipeline registry is name-keyed *)
             let name = Filename.remove_extension (Filename.basename file) in
             Wolfram.function_compile ~options ~target ~name (Parser.parse src)
           with
@@ -1064,7 +1035,7 @@ let cache_stat_cmd =
     let s = Wolf_compiler.Disk_cache.stats d in
     if json then
       Printf.printf "{\"dir\":\"%s\",\"stats\":%s}\n"
-        (json_escape (Wolf_compiler.Disk_cache.dir d)) (disk_cache_json s)
+        (Wolf_obs.Json_min.escape (Wolf_compiler.Disk_cache.dir d)) (disk_cache_json s)
     else
       Printf.printf "cache %s: %d entries, %d bytes\n"
         (Wolf_compiler.Disk_cache.dir d)

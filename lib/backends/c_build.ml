@@ -59,38 +59,32 @@ let run_command argv =
     ignore (read_and_remove ());
     Error (Printf.sprintf "cannot run %s: %s" argv.(0) (Unix.error_message e))
 
+exception Cc_failed of string
+
 let build ?cc ?(cflags = []) ?keep_c ~source ~output () =
   let cc = match cc with Some c -> c | None -> default_cc () in
-  let dir = Filename.dirname output in
-  let base = Filename.basename output in
-  let tmp_exe =
-    Filename.concat dir (Printf.sprintf ".%s.tmp.%d" base (Unix.getpid ()))
-  in
   let c_file =
     match keep_c with
     | Some path -> path
     | None -> Filename.temp_file "wolf_build" ".c"
   in
-  let cleanup () =
-    if keep_c = None then (try Sys.remove c_file with _ -> ());
-    (try Sys.remove tmp_exe with _ -> ())
-  in
+  let cleanup () = if keep_c = None then (try Sys.remove c_file with _ -> ()) in
   Fun.protect ~finally:cleanup @@ fun () ->
   let oc = open_out c_file in
   output_string oc source;
   close_out oc;
-  let argv =
-    Array.of_list
-      ([ cc; "-O2" ] @ cflags @ [ "-o"; tmp_exe; c_file; "-lm" ])
-  in
-  match run_command argv with
-  | Error e -> Error e
-  | Ok _warnings ->
-    (try
-       (* temp + rename: the output path is never observed half-written *)
-       Unix.rename tmp_exe output;
-       Ok ()
-     with Unix.Unix_error (e, _, _) ->
-       Error
-         (Printf.sprintf "cannot move binary to %s: %s" output
-            (Unix.error_message e)))
+  (* the output path is never observed half-written *)
+  match
+    Wolf_obs.Atomic_file.publish ~dest:output (fun tmp_exe ->
+        match
+          run_command
+            (Array.of_list
+               ([ cc; "-O2" ] @ cflags @ [ "-o"; tmp_exe; c_file; "-lm" ]))
+        with
+        | Ok _warnings -> ()
+        | Error e -> raise (Cc_failed e))
+  with
+  | () -> Ok ()
+  | exception Cc_failed e -> Error e
+  | exception Sys_error e ->
+    Error (Printf.sprintf "cannot move binary to %s: %s" output e)

@@ -13,10 +13,10 @@
 
    Crash safety is write-to-temp + rename: a reader either sees the old
    complete entry or a clean miss, never a torn artifact; a writer that
-   dies before rename leaves only a tmp.* file that the next eviction or
-   clear sweeps.  Concurrent processes sharing one directory coordinate
-   destructive phases (eviction, clear, verify --fix) through an fcntl
-   region lock on <dir>/lock; fcntl locks are per-process, so an
+   dies before rename leaves only an Atomic_file temp file that the next
+   eviction or clear sweeps.  Concurrent processes sharing one directory
+   coordinate destructive phases (eviction, clear, verify --fix) through
+   an fcntl region lock on <dir>/lock; fcntl locks are per-process, so an
    in-process mutex backs it up.
 
    Entry format: an 8-byte magic, a marshaled header carrying the format
@@ -162,11 +162,6 @@ let entry_path t ~key ~kind =
   let shard = if String.length key >= 2 then String.sub key 0 2 else "xx" in
   Filename.concat (objects_dir t) (Filename.concat shard (key ^ "." ^ kind))
 
-let tmp_serial = Atomic.make 0
-
-let is_tmp name =
-  String.length name >= 4 && String.sub name 0 4 = "tmp."
-
 (* every artifact and blob under the cache, as (path, size, mtime) *)
 let scan_files t =
   let acc = ref [] in
@@ -190,8 +185,11 @@ let scan_files t =
   !acc
 
 let occupancy t =
-  let files = List.filter (fun (p, _, _) -> not (is_tmp (Filename.basename p)))
-      (scan_files t) in
+  let files =
+    List.filter
+      (fun (p, _, _) -> not (Wolf_obs.Atomic_file.is_temp (Filename.basename p)))
+      (scan_files t)
+  in
   (List.length files, List.fold_left (fun a (_, s, _) -> a + s) 0 files)
 
 let stats t =
@@ -254,23 +252,13 @@ let load t ~key ~kind =
     end
   end
 
-let write_file_atomic ~dir ~dest (emit : out_channel -> unit) =
-  mkdir_p dir;
-  let tmp =
-    Filename.concat dir
-      (Printf.sprintf "tmp.%d.%d.%s" (Unix.getpid ())
-         (Atomic.fetch_and_add tmp_serial 1)
-         (Filename.basename dest))
-  in
-  let oc = open_out_bin tmp in
-  (match emit oc with
-   | () -> close_out oc
-   | exception e -> close_out_noerr oc; (try Sys.remove tmp with _ -> ()); raise e);
-  (* the crash window under test: dying here must leave dest untouched *)
-  (match !fault_before_rename () with
-   | () -> ()
-   | exception e -> (try Sys.remove tmp with _ -> ()); raise e);
-  Sys.rename tmp dest
+let write_file_atomic ~dest (emit : out_channel -> unit) =
+  mkdir_p (Filename.dirname dest);
+  (* the crash window under test: dying before the rename must leave dest
+     untouched *)
+  Wolf_obs.Atomic_file.publish ~dest
+    ~before_rename:(fun () -> !fault_before_rename ())
+    (fun tmp -> Out_channel.with_open_bin tmp emit)
 
 let evict_locked t =
   let files = scan_files t in
@@ -280,11 +268,12 @@ let evict_locked t =
   let files =
     List.filter
       (fun (p, _, mt) ->
-        if is_tmp (Filename.basename p) && now -. mt > 60.0 then begin
+        let temp = Wolf_obs.Atomic_file.is_temp (Filename.basename p) in
+        if temp && now -. mt > 60.0 then begin
           (try Sys.remove p with _ -> ());
           false
         end
-        else not (is_tmp (Filename.basename p)))
+        else not temp)
       files
   in
   let total = List.fold_left (fun a (_, s, _) -> a + s) 0 files in
@@ -314,7 +303,7 @@ let store t ~key ~kind payload =
           h_digest = Digest.to_hex (Digest.string payload);
           h_len = String.length payload }
       in
-      write_file_atomic ~dir:(Filename.dirname dest) ~dest (fun oc ->
+      write_file_atomic ~dest (fun oc ->
           output_string oc magic;
           output_value oc h;
           output_string oc payload);
@@ -336,7 +325,7 @@ let ensure_blob t ~name ~digest data =
   if current () then Some path
   else begin
     try
-      write_file_atomic ~dir:(blobs_dir t) ~dest:path (fun oc ->
+      write_file_atomic ~dest:path (fun oc ->
           output_string oc data);
       if current () then Some path
       else begin
@@ -360,7 +349,7 @@ let verify ?(fix = false) t =
   List.iter
     (fun (path, _, _) ->
       let base = Filename.basename path in
-      if is_tmp base then begin
+      if Wolf_obs.Atomic_file.is_temp base then begin
         bad := (path, "orphaned temp file") :: !bad;
         if fix then (try Sys.remove path with _ -> ())
       end

@@ -5,7 +5,6 @@ type t = {
   opt_level : int;
   static_constants : bool;
   memory_management : bool;
-  lint : bool;
   verify_each : bool;
   self_name : string option;
   target_system : string;
@@ -24,8 +23,7 @@ let default = {
   opt_level = 1;
   static_constants = true;
   memory_management = true;
-  lint = true;
-  verify_each = false;
+  verify_each = true;
   self_name = None;
   target_system = "LLVM";
   dump_after = [];
@@ -51,7 +49,6 @@ let fingerprint t =
       "opt=" ^ string_of_int t.opt_level;
       "consts=" ^ string_of_bool t.static_constants;
       "mem=" ^ string_of_bool t.memory_management;
-      "lint=" ^ string_of_bool t.lint;
       "verify=" ^ string_of_bool t.verify_each;
       "self=" ^ Option.value ~default:"" t.self_name;
       "target=" ^ t.target_system;

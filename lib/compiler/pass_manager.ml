@@ -33,7 +33,6 @@ type acc = {
 }
 
 type t = {
-  lint : bool;
   verify : bool;
   dump_after : string list;
   dump : string -> Wir.program -> unit;
@@ -54,9 +53,8 @@ let block_count (prog : Wir.program) =
 let default_dump name prog =
   Printf.eprintf "; ---- IR after %s ----\n%s\n%!" name (Wir_print.program_to_string prog)
 
-let create ?(lint = false) ?(verify = false) ?(dump_after = []) ?(dump = default_dump)
-    () =
-  { lint; verify; dump_after; dump; accs = Hashtbl.create 16; order = [];
+let create ?(verify = false) ?(dump_after = []) ?(dump = default_dump) () =
+  { verify; dump_after; dump; accs = Hashtbl.create 16; order = [];
     timeline = [] }
 
 (* Registry instruments shared by every pass-manager instance: the central
@@ -86,12 +84,11 @@ let acc_of t name =
 
 let wants_dump t name = List.mem name t.dump_after || List.mem "all" t.dump_after
 
-(* Post-pass invariant checking: [lint] and [verify] both run the full
-   {!Wir_verify} checker (the lint grew into it); the time is attributed to
-   the pass that produced the IR so [--verify-each] overhead is visible in
-   the report. *)
+(* Post-pass invariant checking with the full {!Wir_verify} checker; the
+   time is attributed to the pass that produced the IR so the verifier's
+   overhead is visible in the report. *)
 let run_check t a name prog =
-  if t.lint || t.verify then begin
+  if t.verify then begin
     let t0 = Unix.gettimeofday () in
     Fun.protect
       ~finally:(fun () ->
@@ -165,7 +162,7 @@ let checkpoint t name prog =
      boundaries without one (e.g. "lower") get a zero-run row — so the
      per-pass verify column always sums to the verifier total in the
      report footer (asserted by a unit test). *)
-  if t.lint || t.verify then run_check t (acc_of t name) name prog;
+  if t.verify then run_check t (acc_of t name) name prog;
   if wants_dump t name then t.dump name prog
 
 let stats t =
@@ -228,24 +225,10 @@ let stats_to_string stats =
          (if t.tot_pass > 0.0 then 100.0 *. t.tot_verify /. t.tot_pass else 0.0));
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let stats_to_json stats =
   let field_list s =
     let base =
-      [ Printf.sprintf "\"pass\":\"%s\"" (json_escape s.st_pass);
+      [ Printf.sprintf "\"pass\":\"%s\"" (Wolf_obs.Json_min.escape s.st_pass);
         Printf.sprintf "\"runs\":%d" s.st_runs;
         Printf.sprintf "\"changed\":%d" s.st_changed;
         Printf.sprintf "\"seconds\":%.6f" s.st_time;

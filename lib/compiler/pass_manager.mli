@@ -7,7 +7,7 @@
 
     - wall-clock time (cumulative over repeated runs in a fixpoint),
     - before/after instruction- and basic-block-count deltas,
-    - post-pass {!Wir_lint} verification when linting is enabled,
+    - post-pass {!Wir_verify} verification when enabled,
     - dump-IR-after-pass hooks ([--dump-after] in wolfc).
 
     Front-end stages that do not yet have a program (macro expansion,
@@ -48,15 +48,13 @@ type stat = {
 type t
 
 val create :
-  ?lint:bool ->
   ?verify:bool ->
   ?dump_after:string list ->
   ?dump:(string -> Wir.program -> unit) ->
   unit ->
   t
-(** [lint] and [verify] (both default false) each run the full
-    {!Wir_verify.assert_ok} after every pass — [verify] is the explicit
-    [--verify-each] switch and is reported per pass in {!stats}.
+(** [verify] (default false) runs the full {!Wir_verify.assert_ok} after
+    every pass, reported per pass in {!stats} ([Options.verify_each]).
     [dump_after] names passes after which [dump] fires; the name ["all"]
     matches every pass.  The default [dump] prints the IR to stderr. *)
 

@@ -49,18 +49,12 @@ let opt_passes ~(options : Options.t) =
 let fixpoint_budget (options : Options.t) =
   if options.Options.opt_level >= 2 then 32 else 16
 
-let optimize ~options ~lint prog =
-  let mgr = Pass_manager.create ~lint ~verify:options.Options.verify_each () in
-  ignore (Pass_manager.run_fixpoint ~budget:(fixpoint_budget options) mgr
-            (opt_passes ~options) prog)
-
 let compile ?(options = Options.default) ?type_env ?macro_env ?(user_passes = []) ~name
     fexpr =
   let env = match type_env with Some e -> e | None -> Stdlib_decls.env () in
   let menv = match macro_env with Some m -> m | None -> Macro.functional_env () in
-  let lint = options.Options.lint in
   let mgr =
-    Pass_manager.create ~lint ~verify:options.Options.verify_each
+    Pass_manager.create ~verify:options.Options.verify_each
       ~dump_after:options.Options.dump_after
       ~dump:(fun n p -> !dump_hook n p) ()
   in

@@ -7,7 +7,7 @@
     Users can inject passes (§4.7) and supply their own macro and type
     environments.  Every stage runs through the instrumented
     {!Pass_manager}: wall-clock time, instruction/block-count deltas,
-    post-pass linting and dump-IR-after-pass hooks are recorded uniformly
+    post-pass verification and dump-IR-after-pass hooks are recorded uniformly
     (the paper's benchmark suite measures per-pass times, experiment E8). *)
 
 open Wolf_wexpr
@@ -35,9 +35,6 @@ val dump_hook : (string -> Wir.program -> unit) ref
 val opt_passes : options:Options.t -> Pass_manager.pass list
 (** The optimisation-fixpoint members for the given options (level ≥ 2
     widens the inlining budget). *)
-
-val optimize : options:Options.t -> lint:bool -> Wir.program -> unit
-(** Run the optimisation fixpoint alone on an already-typed program. *)
 
 val compile :
   ?options:Options.t ->

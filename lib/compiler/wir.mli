@@ -2,7 +2,7 @@
 
     SSA from construction (the paper lowers directly to SSA, citing Braun et
     al.); join points use basic-block parameters rather than phi
-    instructions, which keeps passes and the linter simple.  A WIR whose
+    instructions, which keeps passes and the verifier simple.  A WIR whose
     variables all carry types is the TWIR (§4.5) — same representation, as
     the paper requires so that passes may introduce untyped instructions and
     re-run inference. *)

@@ -143,7 +143,6 @@ let reference case =
 let fuzz_options level =
   { Wolf_compiler.Options.default with
     Wolf_compiler.Options.opt_level = level;
-    verify_each = true;
     use_cache = false }
 
 let target_of = function

@@ -5,9 +5,9 @@
    Records are kept in the ring already encoded — a compact binary layout
    (LEB128 varints, length-prefixed strings), not JSON — so steady-state
    recording costs one small encode and an array store.  Dump files are
-   written temp+rename (like disk_cache) so readers never see a torn
-   file, and dumps are rate-limited: one trigger per suppression window
-   wins, the rest just count. *)
+   written through Atomic_file so readers never see a torn file, and dumps
+   are rate-limited: one trigger per suppression window wins, the rest
+   just count. *)
 
 type phase = {
   ph_name : string;
@@ -175,6 +175,7 @@ let seq = Atomic.make 0
 let n_records = Atomic.make 0
 let n_dumps = Atomic.make 0
 let n_suppressed = Atomic.make 0
+let n_failed = Atomic.make 0
 
 let m_records =
   lazy (Metrics.counter ~help:"flight records appended" "flight_records")
@@ -183,6 +184,9 @@ let m_dumps =
 let m_suppressed =
   lazy (Metrics.counter ~help:"flight dumps suppressed by rate limit"
           "flight_dumps_suppressed")
+let m_failed =
+  lazy (Metrics.counter ~help:"flight dumps that could not be written"
+          "flight_dumps_failed")
 
 let set_dir d =
   Mutex.lock cfg_lock;
@@ -208,7 +212,8 @@ let set_suppress_window_ms ms =
   Atomic.set suppress_window_ns (int_of_float (Float.max 0.0 ms *. 1e6))
 
 let stats () =
-  (Atomic.get n_records, Atomic.get n_dumps, Atomic.get n_suppressed)
+  (Atomic.get n_records, Atomic.get n_dumps, Atomic.get n_suppressed,
+   Atomic.get n_failed)
 
 let reset () =
   Mutex.lock registry_lock;
@@ -224,6 +229,7 @@ let reset () =
   Atomic.set n_records 0;
   Atomic.set n_dumps 0;
   Atomic.set n_suppressed 0;
+  Atomic.set n_failed 0;
   Atomic.set last_dump_ns min_int
 
 let snapshot () =
@@ -268,14 +274,20 @@ let dump ~reason ?trigger () =
         (Atomic.fetch_and_add seq 1)
     in
     let final = Filename.concat dir name in
-    let tmp = final ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc payload;
-    close_out oc;
-    Sys.rename tmp final;
-    Atomic.incr n_dumps;
-    Metrics.incr (Lazy.force m_dumps);
-    (Some final, count)
+    (* a dump runs on a request's own thread: a full disk or a vanished
+       directory must cost the dump, not the request *)
+    match
+      Atomic_file.publish ~dest:final (fun tmp ->
+          Out_channel.with_open_bin tmp (fun oc -> output_string oc payload))
+    with
+    | () ->
+      Atomic.incr n_dumps;
+      Metrics.incr (Lazy.force m_dumps);
+      (Some final, count)
+    | exception Sys_error _ ->
+      Atomic.incr n_failed;
+      Metrics.incr (Lazy.force m_failed);
+      (None, count)
 
 let bad_outcome = function
   | "deadline" | "cancelled" | "overloaded" -> true

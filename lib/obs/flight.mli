@@ -5,7 +5,7 @@
     JSON).  A request that ends with a triggering outcome ([deadline],
     [cancelled], [overloaded]) or whose total latency breaches the
     configured threshold causes the whole ring — every domain's recent
-    history — to be dumped atomically (temp+rename) into the configured
+    history — to be dumped atomically ({!Atomic_file}) into the configured
     directory, rate-limited to one dump per suppression window.  Dumps are
     read back with {!read_file} and rendered with {!describe} (the
     [wolfc flight] pretty-printer). *)
@@ -59,13 +59,15 @@ val record : record -> string option
 
 val dump : reason:string -> ?trigger:record -> unit -> string option * int
 (** Force a dump of every ring ([dump-flight] protocol op).  Returns the
-    path ([None] when no directory is configured) and the record count. *)
+    path and the record count.  The path is [None] when no directory is
+    configured, or when the file could not be written — that failure is
+    counted ([flight_dumps_failed]), never raised. *)
 
 val snapshot : unit -> record list
 (** Decoded ring contents, all domains, sorted by start time (tests). *)
 
-val stats : unit -> int * int * int
-(** (records appended, dumps written, dumps suppressed). *)
+val stats : unit -> int * int * int * int
+(** (records appended, dumps written, dumps suppressed, dumps failed). *)
 
 val reset : unit -> unit
 (** Clear rings and counters (tests).  Configuration is kept. *)

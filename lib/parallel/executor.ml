@@ -1,11 +1,9 @@
-(* Persistent domain pool with a bounded submission queue.
-
-   [Pool.map] shards a known-size batch and tears its domains down when the
-   batch is done; a long-running service needs the dual shape: workers that
-   outlive any one request and a queue whose depth is the admission-control
-   signal.  [submit] never blocks — when the queue is at capacity the caller
-   gets [`Saturated] back immediately and turns it into an explicit
-   "overloaded" reply instead of an invisible convoy.
+(* Persistent domain pool with a bounded submission queue: the only place
+   in the system that spawns domains.  Workers outlive any one job, and the
+   queue depth is the admission-control signal.  [submit] never blocks —
+   when the queue is at capacity the caller gets [`Saturated] back
+   immediately and turns it into an explicit "overloaded" reply instead of
+   an invisible convoy.
 
    Jobs are fire-and-forget thunks that carry their own reply channel; an
    exception escaping a job is the job's bug, so it is counted and dropped
@@ -36,6 +34,43 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
+let worker t () =
+  let continue = ref true in
+  while !continue do
+    Mutex.lock t.lock;
+    while Queue.is_empty t.queue && not t.stopping do
+      Condition.wait t.nonempty t.lock
+    done;
+    if Queue.is_empty t.queue && t.stopping then begin
+      Mutex.unlock t.lock;
+      continue := false
+    end
+    else begin
+      let job = Queue.pop t.queue in
+      t.running <- t.running + 1;
+      Mutex.unlock t.lock;
+      (match Wolf_obs.Trace.with_span ~cat:"pool" "job" job with
+       | () -> ()
+       | exception _ ->
+         Mutex.lock t.lock;
+         t.crashed <- t.crashed + 1;
+         Mutex.unlock t.lock);
+      Mutex.lock t.lock;
+      t.running <- t.running - 1;
+      t.executed <- t.executed + 1;
+      Condition.broadcast t.idle;
+      Mutex.unlock t.lock
+    end
+  done
+
+let grow t jobs =
+  Mutex.lock t.lock;
+  let missing = if t.stopping then 0 else jobs - List.length t.workers in
+  for _ = 1 to missing do
+    t.workers <- Domain.spawn (worker t) :: t.workers
+  done;
+  Mutex.unlock t.lock
+
 let create ?(capacity = 64) ~jobs () =
   let t =
     { lock = Mutex.create (); nonempty = Condition.create ();
@@ -43,36 +78,7 @@ let create ?(capacity = 64) ~jobs () =
       capacity = max 1 capacity; stopping = false; running = 0;
       executed = 0; crashed = 0; saturated = 0; workers = [] }
   in
-  let worker () =
-    let continue = ref true in
-    while !continue do
-      Mutex.lock t.lock;
-      while Queue.is_empty t.queue && not t.stopping do
-        Condition.wait t.nonempty t.lock
-      done;
-      if Queue.is_empty t.queue && t.stopping then begin
-        Mutex.unlock t.lock;
-        continue := false
-      end
-      else begin
-        let job = Queue.pop t.queue in
-        t.running <- t.running + 1;
-        Mutex.unlock t.lock;
-        (match Wolf_obs.Trace.with_span ~cat:"pool" "job" job with
-         | () -> ()
-         | exception _ ->
-           Mutex.lock t.lock;
-           t.crashed <- t.crashed + 1;
-           Mutex.unlock t.lock);
-        Mutex.lock t.lock;
-        t.running <- t.running - 1;
-        t.executed <- t.executed + 1;
-        Condition.broadcast t.idle;
-        Mutex.unlock t.lock
-      end
-    done
-  in
-  t.workers <- List.init (max 1 jobs) (fun _ -> Domain.spawn worker);
+  grow t (max 1 jobs);
   t
 
 let submit t job =

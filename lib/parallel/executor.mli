@@ -1,8 +1,9 @@
-(** Persistent domain pool with a bounded, non-blocking submission queue.
+(** Persistent domain pool with a bounded, non-blocking submission queue —
+    the one module that spawns domains.
 
-    Where {!Pool.map} shards one known-size batch and joins, an executor's
-    workers outlive any single request: [wolfd] schedules every compile and
-    eval job here.  The queue bound is the admission-control signal —
+    An executor's workers outlive any single job: [wolfd] schedules every
+    compile and eval job on one, the tier controller its promotions, and
+    {!Pool} the helpers of every batch.  The queue bound is the admission-control signal —
     [submit] never blocks, it reports [`Saturated] so the caller can answer
     "overloaded" instead of silently queuing without bound. *)
 
@@ -25,6 +26,10 @@ val create : ?capacity:int -> jobs:int -> unit -> t
 (** Spawn [max 1 jobs] worker domains sharing one FIFO queue bounded at
     [capacity] (default 64) waiting entries; running jobs do not count
     against the bound. *)
+
+val grow : t -> int -> unit
+(** [grow t jobs] spawns workers until [t] has at least [jobs]; never
+    removes any.  No-op after {!shutdown} began. *)
 
 val submit : t -> (unit -> unit) -> [ `Accepted | `Saturated | `Stopped ]
 (** Enqueue a job, or refuse immediately: [`Saturated] when the queue is at

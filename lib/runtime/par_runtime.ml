@@ -4,7 +4,7 @@
    [f(carry, lo, hi)] that runs iterations [lo..hi] (inclusive) serially, and
    replaces the loop with a call to [parallel_for_map] / [parallel_reduce].
    This module decides how to cut [lo..hi] into chunks, runs the chunks on
-   the shared domain pool, and merges the results:
+   the batch pool ({!Wolf_parallel.Pool.iter}), and merges the results:
 
    - map: the carry is a packed tensor.  One private copy of the initial
      tensor is taken up front (exactly what serial copy-on-write would do at
@@ -18,20 +18,14 @@
      observationally safe: float [Plus]/[Times] within the oracle tolerance,
      [Min]/[Max] exactly).
 
-   Deadlock-freedom by construction: the caller never blocks on the pool.
-   Helper workers are *offered* to the executor ([submit] is non-blocking;
-   [`Saturated] just means fewer helpers), while the calling domain claims
-   chunks from the same atomic cursor until the range is drained.  A
-   parallel-for inside a tier-promoted function therefore completes even if
-   the shared executor is busy compiling — worst case it runs serially on
-   the caller.
-
-   Abort semantics: chunk bodies are compiled code and poll the global abort
-   flag themselves; the caller additionally polls between chunk claims (so a
-   domain-local injected abort fires at chunk granularity).  [Aborted] from
-   any chunk wins over any other failure; otherwise the lowest failing chunk
-   wins, which is exactly the serial first-failure because chunks are
-   contiguous ascending ranges and every lower chunk completed cleanly.
+   Deadlock-freedom and failure order come from the pool: the caller
+   claims chunks itself and never blocks on a busy executor, [Aborted]
+   wins over any other failure, and otherwise the lowest failing chunk
+   wins — the serial first failure, because chunks are contiguous
+   ascending ranges.  Chunk bodies are compiled code and poll the global
+   abort flag themselves; the caller additionally polls before each chunk
+   it claims, so a domain-local injected abort fires at chunk
+   granularity.
 
    Schedule search: per loop (identified by a compiler fingerprint) and
    per shape class (log2 of the trip count) the first execution measures
@@ -82,39 +76,6 @@ let with_forced_schedule s f =
   Fun.protect ~finally:(fun () -> cell := saved) f
 
 (* ------------------------------------------------------------------ *)
-(* Helper executor.  Either injected (to share domains with the tier
-   compiler or wolfd) or grown on demand to [jobs - 1] workers. *)
-
-let exec : Wolf_parallel.Executor.t option ref = ref None
-let exec_injected = ref false
-let exec_lock = Mutex.create ()
-
-let set_executor e =
-  Mutex.lock exec_lock;
-  exec := Some e;
-  exec_injected := true;
-  Mutex.unlock exec_lock
-
-let ensure_executor n =
-  Mutex.lock exec_lock;
-  let e =
-    match !exec with
-    | Some e when !exec_injected -> e
-    | Some e when (Wolf_parallel.Executor.stats e).Wolf_parallel.Executor.jobs >= n
-      -> e
-    | prev ->
-      (match prev with
-       | Some old -> Wolf_parallel.Executor.shutdown old
-       | None -> ());
-      let e = Wolf_parallel.Executor.create ~capacity:256 ~jobs:n () in
-      Wolf_parallel.Executor.register_metrics ~name:"parloop" e;
-      exec := Some e;
-      e
-  in
-  Mutex.unlock exec_lock;
-  e
-
-(* ------------------------------------------------------------------ *)
 (* Metrics *)
 
 let m_chunks =
@@ -146,51 +107,11 @@ let chunk_count = function
   | Static k | Dynamic k -> max 1 k
 
 let run_chunks ~jobs (chunks : (int * int) array) (body : int -> int -> int -> unit) =
-  let n = Array.length chunks in
-  Wolf_obs.Metrics.add (Lazy.force m_chunks) n;
-  if n = 0 then ()
-  else if jobs <= 1 || n = 1 then begin
-    (* in ascending order on the caller: a failure in chunk i is already
-       the serial first failure *)
-    Array.iteri (fun i (a, b) -> body i a b) chunks
-  end
-  else begin
-    let cursor = Atomic.make 0 in
-    let finished = Atomic.make 0 in
-    let errs = Array.make n None in
-    let worker ~caller () =
-      let continue = ref true in
-      while !continue do
-        if caller then Wolf_base.Abort_signal.check ();
-        let i = Atomic.fetch_and_add cursor 1 in
-        if i >= n then continue := false
-        else begin
-          let a, b = chunks.(i) in
-          (try body i a b with e -> errs.(i) <- Some e);
-          ignore (Atomic.fetch_and_add finished 1)
-        end
-      done
-    in
-    let e = ensure_executor (jobs - 1) in
-    for _ = 2 to jobs do
-      (* best effort: [`Saturated]/[`Stopped] just means fewer helpers *)
-      ignore (Wolf_parallel.Executor.submit e (fun () -> worker ~caller:false ()))
-    done;
-    worker ~caller:true ();
-    (* the caller drained the cursor; wait for helpers mid-chunk so the
-       output tensor is quiescent before anyone reads it *)
-    while Atomic.get finished < n do Domain.cpu_relax () done;
-    let aborted = ref false in
-    let first = ref None in
-    for i = n - 1 downto 0 do
-      match errs.(i) with
-      | Some Wolf_base.Abort_signal.Aborted -> aborted := true
-      | Some e -> first := Some e
-      | None -> ()
-    done;
-    if !aborted then raise Wolf_base.Abort_signal.Aborted;
-    match !first with Some e -> raise e | None -> ()
-  end
+  Wolf_obs.Metrics.add (Lazy.force m_chunks) (Array.length chunks);
+  Wolf_parallel.Pool.iter ~poll:Wolf_base.Abort_signal.check ~jobs
+    (Array.length chunks) (fun i ->
+      let a, b = chunks.(i) in
+      body i a b)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule cache: (loop fingerprint, shape class) -> winner.  Optionally
@@ -211,14 +132,13 @@ let save_cache_locked () =
   | None -> ()
   | Some p ->
     let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) cache [] in
-    let tmp = p ^ ".tmp" in
     (try
-       let oc = open_out_bin tmp in
-       output_string oc persist_magic;
-       Marshal.to_channel oc (entries : ((string * int) * schedule) list) [];
-       close_out oc;
-       Sys.rename tmp p
-     with _ -> (try Sys.remove tmp with _ -> ()))
+       Wolf_obs.Atomic_file.publish ~dest:p (fun tmp ->
+           Out_channel.with_open_bin tmp (fun oc ->
+               output_string oc persist_magic;
+               Marshal.to_channel oc
+                 (entries : ((string * int) * schedule) list) []))
+     with Sys_error _ -> ())
 
 let load_cache_locked p =
   try

@@ -1,6 +1,6 @@
 (** Chunked parallel-for runtime behind {!Wolf_compiler.Opt_parloop}'s
     [parallel_for_map] / [parallel_reduce] primitives: cuts [lo..hi] into
-    chunks, runs them on the shared domain pool (the caller always claims
+    chunks, runs them on the batch pool (the caller always claims
     chunks itself, so saturation degrades to serial instead of deadlocking),
     merges per-chunk results deterministically, and picks the chunking by
     measurement, cached per (loop fingerprint, trip-count shape class). *)
@@ -22,11 +22,6 @@ val with_jobs : int -> (unit -> 'a) -> 'a
 
 val with_forced_schedule : schedule -> (unit -> 'a) -> 'a
 (** Domain-local override skipping lookup and measurement entirely. *)
-
-val set_executor : Wolf_parallel.Executor.t -> unit
-(** Share an existing executor (e.g. the tier compiler's pool) for helper
-    workers instead of growing a dedicated one.  Submission is always
-    non-blocking, so a busy shared pool only costs parallelism. *)
 
 val set_persist_path : string -> unit
 (** Persist schedule selections to this file (sidecar of the disk compile

@@ -310,12 +310,14 @@ let run_compile ~code ~target ~opt ~parallel_loops =
        (match Wolfram.function_compile ~options ~target:tgt ~name:"Serve" fexpr with
         | cf ->
           let summary =
-            match Wolfram.pipeline_of cf with
-            | Some c ->
+            match cf with
+            | Wolfram.Native { pipeline = Some c; _ } ->
               Printf.sprintf "ok: %d instrs, %d blocks"
                 (Wolf_compiler.Pass_manager.instr_count c.Wolf_compiler.Pipeline.program)
                 (Wolf_compiler.Pass_manager.block_count c.Wolf_compiler.Pipeline.program)
-            | None -> "ok: bytecode"
+            | Wolfram.Native { pipeline = None; _ } -> "ok: revived from disk cache"
+            | Wolfram.Wvm _ -> "ok: bytecode"
+            | Wolfram.Tiered _ -> "ok: tiered"
           in
           Ok (P.Text summary)
         | exception Wolf_base.Errors.Compile_error e -> Error (P.Compile_failed, e)
@@ -558,7 +560,7 @@ let latency_json () =
 let stats_json t =
   let xs = Wolf_parallel.Executor.stats t.exec in
   let sessions = with_reg t (fun () -> Hashtbl.length t.sessions) in
-  let fl_records, fl_dumps, fl_suppressed = Wolf_obs.Flight.stats () in
+  let fl_records, fl_dumps, fl_suppressed, fl_failed = Wolf_obs.Flight.stats () in
   Printf.sprintf
     "{\"sessions\":%d,\"uptime_seconds\":%.3f,\
      \"evals\":%d,\"compiles\":%d,\"cancels\":%d,\
@@ -566,7 +568,7 @@ let stats_json t =
      \"queue\":{\"depth\":%d,\"running\":%d,\"capacity\":%d,\"jobs\":%d,\
      \"executed\":%d,\"crashed\":%d},\
      \"latency\":%s,\
-     \"flight\":{\"records\":%d,\"dumps\":%d,\"suppressed\":%d},\
+     \"flight\":{\"records\":%d,\"dumps\":%d,\"suppressed\":%d,\"failed\":%d},\
      \"cache\":%s}"
     sessions
     (Wolf_obs.Clock.now () -. t.started_at)
@@ -576,7 +578,7 @@ let stats_json t =
     xs.Wolf_parallel.Executor.queued xs.running xs.capacity xs.jobs
     xs.executed xs.crashed
     (latency_json ())
-    fl_records fl_dumps fl_suppressed
+    fl_records fl_dumps fl_suppressed fl_failed
     (cache_json ())
 
 let handle_cancel t sess ~target =
@@ -857,6 +859,9 @@ let start cfg =
   Unix.listen listen_fd 64;
   let t =
     { cfg; listen_fd;
+      (* the daemon's own executor, not the batch pool: its queue bound
+         is the admission-control signal — a full queue answers
+         "overloaded" — and batch helpers must not count against it *)
       exec =
         Wolf_parallel.Executor.create ~capacity:cfg.queue_capacity
           ~jobs:cfg.jobs ();

@@ -62,15 +62,17 @@ let backedge_weight = 64
 let default_threshold = Atomic.make 12
 
 (* ------------------------------------------------------------------ *)
-(* The shared background compile pool: one worker domain, created on the
-   first promotion request (a plain wolfc run with tiering off must not
-   spawn domains).  Not Lazy.t — concurrent forcing of a lazy raises. *)
+(* The background compile pool: one worker domain, created on the first
+   promotion request (a plain wolfc run with tiering off must not spawn
+   domains).  Not Lazy.t — concurrent forcing of a lazy raises.
+
+   Promotions do not go on the batch pool ({!Wolf_parallel.Pool}): the
+   fuzz tier arm runs inside [Pool.map] jobs and blocks in
+   [await_promotion], so with every batch worker parked there a promotion
+   queued behind them would never run. *)
 
 let exec_lock = Mutex.create ()
 let exec_ref : Wolf_parallel.Executor.t option ref = ref None
-let exec_jobs = Atomic.make 1
-
-let set_jobs n = Atomic.set exec_jobs (max 1 n)
 
 let executor () =
   Mutex.lock exec_lock;
@@ -78,9 +80,7 @@ let executor () =
     match !exec_ref with
     | Some e -> e
     | None ->
-      let e =
-        Wolf_parallel.Executor.create ~capacity:256 ~jobs:(Atomic.get exec_jobs) ()
-      in
+      let e = Wolf_parallel.Executor.create ~capacity:256 ~jobs:1 () in
       Wolf_parallel.Executor.register_metrics ~name:"tier" e;
       exec_ref := Some e;
       e

@@ -18,10 +18,6 @@ val default_threshold : int Atomic.t
 (** Heat needed to queue a promotion when [create] gets no [?threshold]
     (initially 12). *)
 
-val set_jobs : int -> unit
-(** Worker domains for the shared background compile pool; must be set
-    before the first promotion is queued (the pool is created lazily). *)
-
 val create :
   ?threshold:int ->
   name:string ->

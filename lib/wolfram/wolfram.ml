@@ -9,7 +9,7 @@ type target =
   | Tier
 
 type compiled =
-  | Native of Compiled_function.t
+  | Native of { fn : Compiled_function.t; pipeline : Pipeline.compiled option }
   | Wvm of Wvm.compiled_function
   | Tiered of Tier.t
 
@@ -50,7 +50,7 @@ and auto_compile_scalar_uncached expr sym =
   in
   match
     Pipeline.compile
-      ~options:{ Options.default with abort_handling = false; lint = false }
+      ~options:{ Options.default with abort_handling = false; verify_each = false }
       ~name:"autocompiled" fexpr
   with
   | c ->
@@ -78,20 +78,6 @@ let init () =
           Atomic.set initialized true
         end)
   end
-
-let pipelines : (string, Pipeline.compiled) Hashtbl.t = Hashtbl.create 16
-let pipelines_lock = Mutex.create ()
-
-let pipelines_put name c =
-  Mutex.lock pipelines_lock;
-  Hashtbl.replace pipelines name c;
-  Mutex.unlock pipelines_lock
-
-let pipelines_get name =
-  Mutex.lock pipelines_lock;
-  let r = Hashtbl.find_opt pipelines name in
-  Mutex.unlock pipelines_lock;
-  r
 
 (* The content-addressed compile cache (DESIGN.md "Pass manager & compile
    cache"): repeated Compile/run calls on identical (source, options,
@@ -159,7 +145,7 @@ let rec function_compile ?options ?type_env ?macro_env ?user_passes
             | None -> None)
          | Jit when not opts.Options.profile ->
            (match Disk_store.load_jit d ~key:k ~name ~source:fexpr with
-            | Some cf -> Some (Native cf)
+            | Some fn -> Some (Native { fn; pipeline = None })
             | None -> None)
          | Jit | Threaded | Tier -> None)
       | _ -> None
@@ -204,9 +190,7 @@ let rec function_compile ?options ?type_env ?macro_env ?user_passes
          | Some d, Some k, Some (art, cmxs) ->
            Disk_store.store_jit d ~key:k ~art ~cmxs ~arg_tys ~ret_ty
          | _ -> ());
-        (* keep the pipeline result reachable for tooling *)
-        pipelines_put wrapped.Compiled_function.cf_name c;
-        Native wrapped
+        Native { fn = wrapped; pipeline = Some c }
   in
   match key with
   | None -> build ()
@@ -232,7 +216,7 @@ and make_tiered ?threshold ?(promote_target = Jit) ~options ~name fexpr =
     (* unwrap the common case so a promoted call costs exactly an AOT
        call: no list round-trip, no re-dispatch through the facade *)
     (match cf with
-     | Native t -> fun args -> Compiled_function.call t args
+     | Native { fn; _ } -> fun args -> Compiled_function.call fn args
      | Wvm w -> fun args -> Wvm.call w args
      | Tiered _ -> fun args -> call cf (Array.to_list args))
   in
@@ -241,7 +225,7 @@ and make_tiered ?threshold ?(promote_target = Jit) ~options ~name fexpr =
 and call cf args =
   init ();
   match cf with
-  | Native t -> Compiled_function.call t (Array.of_list args)
+  | Native { fn; _ } -> Compiled_function.call fn (Array.of_list args)
   | Wvm w -> Wvm.call w (Array.of_list args)
   | Tiered t -> Tier.call t (Array.of_list args)
 
@@ -259,7 +243,7 @@ let function_compile_src ?options ?target ?name src =
 
 let call_values cf args =
   match cf with
-  | Native t -> Compiled_function.call_values t (Array.of_list args)
+  | Native { fn; _ } -> Compiled_function.call_values fn (Array.of_list args)
   | Wvm w -> Wvm.call_values w (Array.of_list args)
   | Tiered t ->
     Wolf_runtime.Rtval.of_expr
@@ -270,8 +254,8 @@ let install name cf =
   init ();
   let sym = Symbol.intern name in
   match cf with
-  | Native t ->
-    Wolf_kernel.Values.set_compiled_value sym (Compiled_function.kernel_closure t)
+  | Native { fn; _ } ->
+    Wolf_kernel.Values.set_compiled_value sym (Compiled_function.kernel_closure fn)
   | Wvm w ->
     Wolf_kernel.Values.set_compiled_value sym
       { Wolf_runtime.Rtval.arity = Wvm.arity w;
@@ -320,9 +304,9 @@ let export_library ?options ?(name = "Main") ~path src =
   Jit.export_library c ~path
 
 let pipeline_of = function
-  | Native t -> pipelines_get t.Compiled_function.cf_name
+  | Native { pipeline; _ } -> pipeline
   | Wvm _ | Tiered _ -> None
 
 let fallback_count = function
-  | Native t -> Atomic.get t.Compiled_function.fallbacks
+  | Native { fn; _ } -> Atomic.get fn.Compiled_function.fallbacks
   | Wvm _ | Tiered _ -> 0

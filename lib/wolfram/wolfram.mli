@@ -19,7 +19,12 @@ type target =
 module Tier : module type of Tier
 
 type compiled =
-  | Native of Wolf_backends.Compiled_function.t
+  | Native of {
+      fn : Wolf_backends.Compiled_function.t;
+      pipeline : Wolf_compiler.Pipeline.compiled option;
+          (** the compile that built [fn]; [None] when [fn] was revived
+              from the disk cache without running the pipeline *)
+    }
   | Wvm of Wolf_backends.Wvm.compiled_function
   | Tiered of Tier.t
 
@@ -97,8 +102,9 @@ val export_library :
 (** [FunctionCompileExportLibrary]: native shared object on disk. *)
 
 val pipeline_of : compiled -> Wolf_compiler.Pipeline.compiled option
-(** Pass timings, instrumentation stats, resolution table, IR — for tooling
-    and the E8 benchmark. *)
+(** Pass timings, instrumentation stats, resolution table, IR of the
+    compile that built this value — for tooling and the E8 benchmark.
+    [None] for bytecode, tiered and disk-cache-revived values. *)
 
 val fallback_count : compiled -> int
 

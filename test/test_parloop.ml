@@ -200,6 +200,47 @@ let test_schedule_cache_hits () =
   Alcotest.(check bool) "new shape class re-measures" true
     (PR.measurements () > m0)
 
+(* Two writers persisting schedule sidecars to one path at the same time
+   (two wolfd processes sharing a disk cache) must leave a loadable file:
+   each writer has its own temp file, so their bytes never interleave. *)
+let test_concurrent_schedule_writers () =
+  let dir = Filename.temp_file "wolf_sched" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let sidecar name n =
+    let p = Filename.concat dir name in
+    PR.clear_schedules ();
+    PR.set_persist_path p;
+    ignore (PR.with_jobs 4 (fun () -> Wolfram.call (compile sum_src) [ Expr.Int n ]));
+    In_channel.with_open_bin p In_channel.input_all
+  in
+  let a = sidecar "a" 4096 and b = sidecar "b" 100_000 in
+  let dest = Filename.concat dir "schedules" in
+  let halfway = Atomic.make 0 in
+  let writer data () =
+    Wolf_obs.Atomic_file.publish ~dest (fun tmp ->
+        Out_channel.with_open_bin tmp (fun oc ->
+            let half = String.length data / 2 in
+            output_string oc (String.sub data 0 half);
+            flush oc;
+            (* both writers are mid-file before either finishes *)
+            Atomic.incr halfway;
+            while Atomic.get halfway < 2 do Domain.cpu_relax () done;
+            output_string oc
+              (String.sub data half (String.length data - half))))
+  in
+  let d = Domain.spawn (writer a) in
+  writer b ();
+  Domain.join d;
+  let published = In_channel.with_open_bin dest In_channel.input_all in
+  Alcotest.(check bool) "the file is one writer's bytes" true
+    (published = a || published = b);
+  PR.clear_schedules ();
+  PR.set_persist_path dest;
+  Alcotest.(check bool) "the file loads" true (PR.schedules_size () >= 1);
+  Alcotest.(check (list string)) "no temp file left" [ "a"; "b"; "schedules" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
 (* ------------------------------------------------------------------ *)
 (* Error and abort propagation out of chunks                           *)
 
@@ -308,15 +349,13 @@ let blocked_executor () =
 
 let with_blocked_executor f =
   let e, release = blocked_executor () in
-  PR.set_executor e;
   let finally () =
     Atomic.set release true;
     Ex.quiesce e;
-    Ex.shutdown e;
-    (* leave a healthy shared pool behind for whatever runs next *)
-    PR.set_executor (Ex.create ~capacity:256 ~jobs:4 ())
+    Ex.shutdown e
   in
-  Fun.protect ~finally (fun () -> f e)
+  Fun.protect ~finally (fun () ->
+      Wolf_parallel.Pool.with_executor e (fun () -> f e))
 
 let test_saturated_pool_degrades_to_serial () =
   with_blocked_executor @@ fun e ->
@@ -366,6 +405,8 @@ let tests =
       test_repeated_calls_idempotent;
     Alcotest.test_case "schedule cache hit determinism" `Quick
       test_schedule_cache_hits;
+    Alcotest.test_case "concurrent schedule writers, loadable file" `Quick
+      test_concurrent_schedule_writers;
     Alcotest.test_case "chunk exception propagates" `Quick
       test_chunk_exception_propagates;
     Alcotest.test_case "abort beats other chunk errors" `Quick

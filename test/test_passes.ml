@@ -30,7 +30,7 @@ let fn_src =
 
 let test_lint_accepts_pipeline_output () =
   let c = compile fn_src in
-  match Wir_lint.check_program c.Pipeline.program with
+  match Wir_verify.check_program c.Pipeline.program with
   | Ok () -> ()
   | Error es -> Alcotest.failf "lint: %s" (String.concat "; " es)
 
@@ -45,7 +45,7 @@ let test_lint_catches_double_def () =
   in
   let f = { Wir.fname = "bad"; fparams = [||]; ret_ty = Some Types.int64;
             blocks = [ blk ]; finline = false; fsource = None } in
-  match Wir_lint.check_func f with
+  match Wir_verify.check_func f with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "double definition accepted"
 
@@ -59,7 +59,7 @@ let test_lint_catches_use_before_def () =
   in
   let f = { Wir.fname = "bad"; fparams = [||]; ret_ty = Some Types.int64;
             blocks = [ blk ]; finline = false; fsource = None } in
-  match Wir_lint.check_func f with
+  match Wir_verify.check_func f with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "use before definition accepted"
 

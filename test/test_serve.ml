@@ -12,12 +12,14 @@ module C = Wolf_serve.Client
 module S = Wolf_serve.Server
 
 let with_server ?(jobs = 2) ?(queue = 64) ?(max_frame = P.default_max_frame)
-    ?(tier = false) ?(tier_threshold = 12) f =
+    ?(tier = false) ?(tier_threshold = 12) ?disk_cache_dir ?flight_dir
+    ?(flight_threshold_ms = 0.0) f =
   let path = Filename.temp_file "wolfd" ".sock" in
   let srv =
     S.start
       { (S.default_config ~socket_path:path ()) with
-        S.jobs; queue_capacity = queue; max_frame; tier; tier_threshold }
+        S.jobs; queue_capacity = queue; max_frame; tier; tier_threshold;
+        disk_cache_dir; flight_dir; flight_threshold_ms }
   in
   Fun.protect
     ~finally:(fun () ->
@@ -335,6 +337,106 @@ let test_shared_compile_cache () =
   Alcotest.(check bool) "cache shared across sessions" true (after > before)
 
 (* ------------------------------------------------------------------ *)
+(* Compile replies describe the requested program                       *)
+
+(* the reply wolfd owes a compile of [src]: the same pipeline run
+   in-process with the daemon's options *)
+let pipeline_summary src =
+  let c = Wolf_compiler.Pipeline.compile ~name:"Serve" (Wolf_wexpr.Parser.parse src) in
+  Printf.sprintf "ok: %d instrs, %d blocks"
+    (Wolf_compiler.Pass_manager.instr_count c.Wolf_compiler.Pipeline.program)
+    (Wolf_compiler.Pass_manager.block_count c.Wolf_compiler.Pipeline.program)
+
+let p1_src = "Function[{Typed[x, \"MachineInteger\"]}, x * 61 + 29]"
+let p2_src =
+  "Function[{Typed[n, \"MachineInteger\"]}, \
+   Module[{s = 0}, Do[s = s + 7*i, {i, n}]; s]]"
+
+let test_compile_reply_counts () =
+  with_server @@ fun _ path ->
+  let c = C.connect path in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  let s1 = pipeline_summary p1_src and s2 = pipeline_summary p2_src in
+  Alcotest.(check bool) "the programs differ in shape" true (s1 <> s2);
+  Alcotest.(check string) "P1" s1 (ok_text "P1" (C.compile c p1_src));
+  Alcotest.(check string) "P2" s2 (ok_text "P2" (C.compile c p2_src));
+  (* a cache hit: the reply must still describe P1, not the last compile *)
+  Alcotest.(check string) "P1 again" s1 (ok_text "P1 again" (C.compile c p1_src))
+
+let test_disk_revived_compile_reply () =
+  if Wolf_backends.Jit.available () then begin
+    let dir = Filename.temp_file "wolfd_dc" "" in
+    Sys.remove dir;
+    let finally () =
+      Option.iter (fun d -> ignore (Wolf_compiler.Disk_cache.clear d))
+        (Wolfram.disk_cache ());
+      Wolfram.set_disk_cache None
+    in
+    Fun.protect ~finally @@ fun () ->
+    with_server ~disk_cache_dir:dir @@ fun _ path ->
+    let c = C.connect path in
+    Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+    let compile src = ok_text "jit compile" (C.compile ~target:"jit" c src) in
+    ignore (compile p1_src);
+    let s2 = compile p2_src in
+    (* drop the in-memory layer: the next P1 comes back from disk without
+       running the pipeline *)
+    Wolfram.compile_cache_clear ();
+    let revived = compile p1_src in
+    Alcotest.(check bool) "revived from disk" true
+      (match Wolfram.disk_cache_stats () with
+       | Some s -> s.Wolf_compiler.Disk_cache.hits >= 1
+       | None -> false);
+    Alcotest.(check bool)
+      (Printf.sprintf "not P2's counts (%s)" revived) true (revived <> s2);
+    Alcotest.(check bool)
+      (Printf.sprintf "not a bytecode reply (%s)" revived) true
+      (revived <> "ok: bytecode")
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Flight dumps that cannot be written                                  *)
+
+let test_flight_dump_failure_keeps_serving () =
+  Wolf_obs.Flight.reset ();
+  Wolf_obs.Flight.set_suppress_window_ms 0.0;
+  let dir = Filename.temp_file "wolfd_flight" "" in
+  Sys.remove dir;
+  Fun.protect ~finally:(fun () -> Wolf_obs.Flight.set_suppress_window_ms 100.0)
+  @@ fun () ->
+  with_server ~jobs:1 ~queue:1 ~flight_dir:dir ~flight_threshold_ms:1.0
+  @@ fun srv path ->
+  (* the directory vanishes under the running daemon: every dump fails *)
+  Unix.rmdir dir;
+  let c = C.connect path in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  check_eval c "slow eval answered" "Do[Null, {i, 300000}]" "Null";
+  (* the worker records the slow request after replying; let it finish *)
+  until ~what:"the worker to go idle" (fun () ->
+      let x = S.executor_stats srv in
+      x.Wolf_parallel.Executor.running = 0 && x.queued = 0);
+  (* an overloaded request, refused on the connection thread *)
+  let long_rid = C.send c (P.Eval { code = long_src; deadline_ms = None }) in
+  until ~what:"worker to claim the long eval" (fun () ->
+      (S.executor_stats srv).Wolf_parallel.Executor.running >= 1);
+  let queued_rid = C.send c (P.Eval { code = "1 + 1"; deadline_ms = None }) in
+  until ~what:"queue slot to fill" (fun () ->
+      (S.executor_stats srv).Wolf_parallel.Executor.queued >= 1);
+  let refused = C.wait c (C.send c (P.Eval { code = "2 + 2"; deadline_ms = None })) in
+  Alcotest.(check bool) "overloaded reply" true
+    (err_kind "refused eval" refused = P.Overloaded);
+  ignore (C.cancel c ~target:long_rid);
+  ignore (C.wait c long_rid);
+  Alcotest.(check string) "queued eval answered" "2"
+    (ok_text "queued eval" (C.wait c queued_rid));
+  check_eval c "the connection keeps serving" "3 + 4" "7";
+  until ~what:"failed dumps to be counted" (fun () ->
+      let _, _, _, failed = Wolf_obs.Flight.stats () in
+      failed >= 2);
+  let _, dumps, _, _ = Wolf_obs.Flight.stats () in
+  Alcotest.(check int) "no dump written" 0 dumps
+
+(* ------------------------------------------------------------------ *)
 (* Metrics-source idempotency across restarts                           *)
 
 let count_samples name =
@@ -492,6 +594,12 @@ let tests =
       test_concurrent_clients;
     Alcotest.test_case "cache: shared across sessions" `Quick
       test_shared_compile_cache;
+    Alcotest.test_case "compile: P1, P2, P1 replies carry own counts" `Quick
+      test_compile_reply_counts;
+    Alcotest.test_case "compile: disk-revived reply is not another's" `Quick
+      test_disk_revived_compile_reply;
+    Alcotest.test_case "flight: failed dumps keep requests served" `Quick
+      test_flight_dump_failure_keeps_serving;
     Alcotest.test_case "metrics: sources idempotent across restarts" `Quick
       test_metrics_reregistration;
     Alcotest.test_case "fuzz: serve arm, 0 disagreements" `Quick
