@@ -112,6 +112,8 @@ let compile3 ~bench a b c =
     | [ x; y; z ] -> (x, y, z)
     | _ -> assert false
   in
+  (* timing runs on one domain, as if the arms had compiled serially *)
+  Wolf_parallel.Pool.shutdown ();
   Wolf_obs.Metrics.set_gauge
     (Wolf_obs.Metrics.gauge
        ~help:"wall-clock seconds compiling a benchmark's three arms"
