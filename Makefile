@@ -32,8 +32,10 @@ bench: build
 
 # one mechanism per job (DESIGN.md "One of each"): fails when lib/ or bin/
 # grows a temp+rename writer besides Atomic_file, a Domain.spawn outside
-# the executor, or a JSON string escaper besides Json_min.escape (its
-# \u%04x control-character escape is the fingerprint)
+# the executor, a JSON string escaper besides Json_min.escape (its
+# \u%04x control-character escape is the fingerprint), or an abort poll
+# besides the read-only test of Abort_signal.pending (the retired strided
+# countdown's names may appear nowhere)
 one-of-each:
 	@fail=0; \
 	check() { \
@@ -46,6 +48,10 @@ one-of-each:
 	check 'Domain\.spawn' lib/parallel/executor.ml 'Domain.spawn'; \
 	check 'let (rec )?[a-z_]*json_escape|u%04[xX]' lib/obs/json_min.ml \
 	  'a JSON string escaper'; \
+	hits=$$(grep -rnE 'Abort_poll|wolf_poll_' lib bin); \
+	if [ -n "$$hits" ]; then \
+	  echo "one-of-each: a second abort-poll mechanism:"; echo "$$hits"; fail=1; \
+	fi; \
 	if [ $$fail = 0 ]; then echo "one-of-each: ok"; fi; \
 	exit $$fail
 

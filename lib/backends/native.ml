@@ -448,19 +448,8 @@ let compile_prim ctx ~base ~dst ~(args : operand array) : (frame -> unit) option
 let compile_instr ctx (i : instr) : frame -> unit =
   match i with
   | Load_argument _ -> fun _ -> () (* handled at function entry *)
-  | Abort_check -> fun _ -> Abort_signal.check ()
-  | Abort_poll { stride; _ } ->
-    (* the budget cell is captured by this site's closure, so it persists
-       across iterations and calls: one real check per [stride] executions.
-       Atomic because the same compiled function may run on several domains
-       at once (e.g. out of the compile cache); a plain ref would lose
-       decrements under contention and stretch the poll interval. *)
-    let budget = Atomic.make stride in
-    fun _ ->
-      if Atomic.fetch_and_add budget (-1) <= 1 then begin
-        Atomic.set budget stride;
-        Abort_signal.check ()
-      end
+  | Abort_check ->
+    fun _ -> if Atomic.get Abort_signal.pending <> 0 then Abort_signal.check ()
   | Copy { dst; src } | Copy_value { dst; src } ->
     (match (slot_of ctx dst).bank with
      | I -> let g = get_i ctx src and set = set_i ctx dst in fun fr -> set fr (g fr)

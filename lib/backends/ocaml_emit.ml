@@ -100,7 +100,6 @@ type ectx = {
   vars : (int, var) Hashtbl.t;
   mutable consts : (string * Rtval.t * Types.t) list;
   mutable const_count : int;
-  mutable polls : (int * int) list;  (* (site, stride): module-level counters *)
   module_key : string;
   fn_names : (string, string) Hashtbl.t;   (* program name -> ocaml name *)
   prog : program;
@@ -413,7 +412,11 @@ let[@inline always] wolf_set2_real ~inplace t i k v =
   let t = wolf_cow ~inplace t in
   wolf_rwrite t (wolf_flat2 t i k) v; t
 
-let[@inline always] wolf_abort_check () = Wolf_base.Abort_signal.check ()
+(* the abort poll reads one shared word and writes nothing, so parallel
+   chunks of one loop poll without contending for a cache line *)
+let[@inline always] wolf_abort_check () =
+  if Atomic.get Wolf_base.Abort_signal.pending <> 0 then
+    Wolf_base.Abort_signal.check ()
 |}
 
 let fn_ocaml_name ctx name =
@@ -443,11 +446,6 @@ let emit_instr ctx b i =
   match i with
   | Load_argument _ -> ()
   | Abort_check -> line "let () = wolf_abort_check () in"
-  | Abort_poll { stride; site } ->
-    if not (List.mem_assoc site ctx.polls) then ctx.polls <- (site, stride) :: ctx.polls;
-    line "let () = decr wolf_poll_%d in" site;
-    line "let () = if !wolf_poll_%d <= 0 then (wolf_poll_%d := %d; wolf_abort_check ()) in"
-      site site stride
   | Copy { dst; src } | Copy_value { dst; src } ->
     line "let v%d : %s = %s in" dst.vid (ocaml_ty (var_ty dst)) (operand_expr ctx src)
   | Mem_acquire op ->
@@ -582,7 +580,6 @@ let emit ~module_name (c : Pipeline.compiled) =
       vars = Hashtbl.create 128;
       consts = [];
       const_count = 0;
-      polls = [];
       module_key = module_name;
       fn_names = Hashtbl.create 8;
       prog;
@@ -598,13 +595,6 @@ let emit ~module_name (c : Pipeline.compiled) =
   List.iteri (fun i f -> emit_func fctx f ~first:(i = 0)) prog.funcs;
   ctx.consts <- fctx.consts;
   ctx.const_count <- fctx.const_count;
-  ctx.polls <- fctx.polls;
-  (* module-level poll counters: persist across calls like the threaded
-     backend's per-site refs *)
-  List.iter
-    (fun (site, stride) ->
-       Buffer.add_string ctx.buf (Printf.sprintf "let wolf_poll_%d = ref %d\n" site stride))
-    (List.rev ctx.polls);
   (* constant bindings, in creation order so names match k{n} references *)
   List.iteri
     (fun i (key, _, ty) ->

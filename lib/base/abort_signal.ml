@@ -5,6 +5,12 @@ exception Aborted
    polling on every other domain, with no torn or lost update. *)
 let flag = Atomic.make false
 
+(* The poll word compiled code reads at every abort site: one unit per
+   reason [check] has work to do (a request, each domain's armed or
+   unwinding injection, profiling).  Only transitions move it, so it
+   settles at the number of reasons that hold whatever the interleaving. *)
+let pending = Atomic.make 0
+
 (* Test hooks (abort_after / checks_performed) are per-domain.  They exist
    only so tests and the abort-overhead ablation can inject an interrupt at
    a deterministic poll and count polls; keeping them domain-local means a
@@ -21,11 +27,21 @@ let hooks_key =
 
 let hooks () = Domain.DLS.get hooks_key
 
-let request () = Atomic.set flag true
+(* a domain holds one unit of [pending] while its injection is armed or
+   unwinding *)
+let armed h = h.trigger >= 0 || h.injected
+
+let () =
+  Wolf_obs.Profile.on_toggle (fun on ->
+      if on then Atomic.incr pending else Atomic.decr pending);
+  if Wolf_obs.Profile.enabled () then Atomic.incr pending
+
+let request () = if not (Atomic.exchange flag true) then Atomic.incr pending
 
 let clear () =
-  Atomic.set flag false;
+  if Atomic.exchange flag false then Atomic.decr pending;
   let h = hooks () in
+  if armed h then Atomic.decr pending;
   h.trigger <- -1;
   h.injected <- false
 
@@ -48,7 +64,8 @@ let reset_stats () = (hooks ()).count <- 0
 
 let abort_after n =
   let h = hooks () in
-  h.trigger <- h.count + n
+  if not (armed h) then Atomic.incr pending;
+  h.trigger <- max 0 (h.count + n)
 
 let with_abort_protection f =
   match f () with

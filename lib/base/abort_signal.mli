@@ -9,9 +9,22 @@
     {!request} from any domain is observed by the next {!check} on every
     domain, never lost or torn.  The {!abort_after}/{!checks_performed}
     machinery exists only for tests and ablations and is domain-local
-    (see below). *)
+    (see below).
+
+    Compiled code reads the {!pending} poll word inline and calls {!check}
+    only while it is nonzero; the poll never writes memory, so domains
+    polling the same loop share no written cache line. *)
 
 exception Aborted
+
+val pending : int Atomic.t
+(** The poll word; read-only outside this module.  Nonzero while an abort
+    is requested, some domain has an {!abort_after} injection armed or
+    unwinding, or {!Wolf_obs.Profile} is on — otherwise {!check} would
+    neither raise nor count anything observable.  Once the writers stop
+    racing it returns to 0 after {!clear} with profiling off.  A domain
+    that exits armed leaves its unit set, sending compiled code down the
+    (still correct) slow path. *)
 
 val request : unit -> unit
 (** Ask every running evaluation, on any domain, to stop at its next abort
@@ -37,7 +50,9 @@ val check : unit -> unit
 val checks_performed : unit -> int
 (** Number of [check] calls on the calling domain since its last
     [reset_stats]; used by tests and the abort-overhead ablation to observe
-    where checks were inserted. *)
+    where checks were inserted.  It counts [check] calls, which compiled
+    code reaches only while {!pending} is nonzero (the interpreter calls
+    [check] at every step). *)
 
 val reset_stats : unit -> unit
 (** Zero the calling domain's poll counter. *)
@@ -45,7 +60,8 @@ val reset_stats : unit -> unit
 val abort_after : int -> unit
 (** Test hook: arrange for the [n]-th subsequent check {e on the calling
     domain} to raise, simulating a user pressing interrupt mid-evaluation.
-    The injected abort is confined to the scheduling domain. *)
+    The injected abort is confined to the scheduling domain; arming it
+    holds {!pending} nonzero until this domain's {!clear}. *)
 
 val with_abort_protection : (unit -> 'a) -> ('a, exn) result
 (** Run a thunk, catching [Aborted] (and clearing the flag), so a session can

@@ -120,7 +120,7 @@ let rec generate ~env (p : program) =
                     | None -> Errors.compile_errorf "closure over unknown function %s" fname)
                  | Kernel_call { dst; _ } ->
                    unify_or_fail ~where (var_ty dst) Types.expression
-                 | Abort_check | Abort_poll _ | Mem_acquire _ | Mem_release _ -> ())
+                 | Abort_check | Mem_acquire _ | Mem_release _ -> ())
               b.instrs;
             (match b.term with
              | Jump j -> unify_jump ~where f j

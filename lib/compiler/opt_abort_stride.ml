@@ -1,22 +1,14 @@
-(* Strided abort-check coalescing (the fig2 abortability-overhead fix).
+(* Strip-mining of counted loops (the fig2 abortability-overhead fix).
 
-   Abort_pass inserts an [Abort_check] at every loop header, which costs a
-   counter increment, two flag loads and a branch per iteration — enough to
-   dominate tight scalar loops (the paper's FNV1a/Histogram gap).  This pass
-   removes the per-iteration cost of qualifying loops in one of two ways:
-
-   1. Counted loops — [While[i <= n, ...; i = i + 1]] with a loop-invariant
-      bound, integer-constant starts >= 0 and a header-resident guard — are
-      strip-mined: the body runs in check-free chunks of at most [stride]
-      iterations under a tightened bound, and a new outer chunk loop runs
-      the real [Abort_check] once per chunk.  The hot path contains no
-      check instructions at all.
-
-   2. Any other qualifying loop keeps a per-iteration instruction, but a
-      cheap one: [Abort_poll { stride }], a per-site countdown that runs the
-      real check only every [stride] back-edges.
-
-   Either way an [Abort[]] still interrupts the loop within one stride.
+   Abort_pass inserts an [Abort_check] — a load and a branch — at every
+   loop header, which still shows in tight scalar loops (the paper's
+   FNV1a/Histogram gap).  Counted loops — [While[i <= n, ...; i = i + 1]]
+   with a loop-invariant bound, integer-constant starts >= 0 and a
+   header-resident guard — are strip-mined: the body runs in check-free
+   chunks of at most [stride] iterations under a tightened bound, and a new
+   outer chunk loop runs the [Abort_check] once per chunk, so an [Abort[]]
+   still interrupts the loop within one stride.  Every other loop keeps its
+   header check.
 
    Qualifying loops are innermost and call-free.  Headers of loops that
    contain nested loops keep the immediate check (their trip counts are
@@ -26,16 +18,9 @@
    function prologue check is untouched.
 
    Runs once, directly after abort-insertion and outside the optimisation
-   fixpoint, so poll sites get stable sequential ids. *)
+   fixpoint. *)
 
 open Wir
-
-let has_call block =
-  List.exists
-    (function
-      | Call { callee = Func _ | Indirect _; _ } | Kernel_call _ -> true
-      | _ -> false)
-    block.instrs
 
 (* ------------------------------------------------------------------ *)
 (* Counted-loop strip-mining.
@@ -315,7 +300,6 @@ let strip_mine f (l : Analysis.loop) ~stride =
   | _ -> false
 
 let run ~stride (p : program) =
-  let site = ref 0 in
   List.iter
     (fun f ->
        let entry_label = (entry f).label in
@@ -325,19 +309,14 @@ let run ~stride (p : program) =
          (fun (l : Analysis.loop) ->
             let call_free =
               List.for_all
-                (fun label -> not (has_call (find_block f label)))
+                (fun label -> not (Abort_pass.calls_out (find_block f label)))
                 l.lbody
             in
-            if l.lheader <> entry_label && Analysis.innermost loops l && call_free
-            then begin
-              let hdr = find_block f l.lheader in
-              match hdr.instrs with
-              | Abort_check :: rest ->
-                if not (strip_mine f l ~stride) then begin
-                  hdr.instrs <- Abort_poll { stride; site = !site } :: rest;
-                  incr site
-                end
-              | _ -> ()
-            end)
+            if
+              l.lheader <> entry_label && Analysis.innermost loops l && call_free
+              && (match (find_block f l.lheader).instrs with
+                  | Abort_check :: _ -> true
+                  | _ -> false)
+            then ignore (strip_mine f l ~stride))
          loops)
     p.funcs

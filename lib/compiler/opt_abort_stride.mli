@@ -1,5 +1,6 @@
-(** Rewrites the header [Abort_check] of innermost call-free loops into a
-    strided [Abort_poll] that runs the real check every [stride] back-edges.
-    Must run after {!Abort_pass}; runs once so poll-site ids are stable. *)
+(** Strip-mines the innermost call-free counted loops: the body runs in
+    check-free chunks of at most [stride] iterations and the header
+    [Abort_check] moves to a new outer chunk loop.  Other loops keep their
+    inline header check.  Must run after {!Abort_pass}. *)
 
 val run : stride:int -> Wir.program -> unit

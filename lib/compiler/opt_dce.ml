@@ -41,7 +41,7 @@ let pure_instr = function
   | Call _ -> false
   | Load_argument _ -> true
   | Kernel_call _ -> false
-  | Abort_check | Abort_poll _ | Mem_acquire _ | Mem_release _ -> false
+  | Abort_check | Mem_acquire _ | Mem_release _ -> false
 
 let run (p : program) =
   let changed = ref false in

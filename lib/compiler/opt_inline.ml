@@ -49,7 +49,6 @@ let clone_for_inline (callee : func) ~label_base =
     | Kernel_call { dst; head; args } ->
       Kernel_call { dst = clone_var dst; head; args = Array.map clone_op args }
     | Abort_check -> Abort_check
-    | Abort_poll _ as i -> i
     | Mem_acquire op -> Mem_acquire (clone_op op)
     | Mem_release op -> Mem_release (clone_op op)
   in

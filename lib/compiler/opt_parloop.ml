@@ -322,7 +322,7 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
               | Copy_value _ -> reject "deep-copies a value"
               | Mem_acquire _ | Mem_release _ -> reject "reference-counted body"
               | Load_argument _ -> reject "argument load in loop"
-              | Abort_check | Abort_poll _ -> ())
+              | Abort_check -> ())
            b.instrs)
       body_blocks;
     (* taint: everything data-dependent on the accumulator *)
@@ -643,7 +643,6 @@ let transform (p : program) (f : func) (r : reco) counter =
     | Call { dst; callee; args } ->
       Call { dst = clone_var dst; callee; args = Array.map map_op args }
     | Abort_check -> Abort_check
-    | Abort_poll a -> Abort_poll a
     | Load_argument _ | New_closure _ | Kernel_call _ | Copy_value _
     | Mem_acquire _ | Mem_release _ ->
       assert false

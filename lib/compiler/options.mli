@@ -17,10 +17,11 @@ type t = {
   dump_after : string list;  (** dump IR after these passes ("all" = every pass) *)
   use_cache : bool;          (** consult the compile cache ({!Compile_cache}) *)
   loop_opts : bool;          (** natural-loop optimisations (LICM, bounds-check
-                                 elimination, strided abort polling) at -O1+ *)
-  abort_stride : int;        (** back-edges between real abort checks in
-                                 innermost call-free loops (1 = every
-                                 iteration) *)
+                                 elimination, strip-mining of counted loops
+                                 for abort checks) at -O1+ *)
+  abort_stride : int;        (** iterations per check-free chunk of a
+                                 strip-mined counted loop (1 = no
+                                 strip-mining: every header checks) *)
   profile : bool;            (** instrument emitted functions with call
                                  counts and self-time
                                  ({!Wolf_obs.Profile}; wolfc

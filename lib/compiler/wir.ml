@@ -31,7 +31,6 @@ type instr =
   | New_closure of { dst : var; fname : string; captured : operand array }
   | Kernel_call of { dst : var; head : Expr.t; args : operand array }
   | Abort_check
-  | Abort_poll of { stride : int; site : int }
   | Mem_acquire of operand
   | Mem_release of operand
   | Copy_value of { dst : var; src : operand }
@@ -112,10 +111,10 @@ let instr_defs = function
   | Load_argument { dst; _ } | Copy { dst; _ } | Call { dst; _ }
   | New_closure { dst; _ } | Kernel_call { dst; _ } | Copy_value { dst; _ } ->
     [ dst ]
-  | Abort_check | Abort_poll _ | Mem_acquire _ | Mem_release _ -> []
+  | Abort_check | Mem_acquire _ | Mem_release _ -> []
 
 let instr_uses = function
-  | Load_argument _ | Abort_check | Abort_poll _ -> []
+  | Load_argument _ | Abort_check -> []
   | Copy { src; _ } | Copy_value { src; _ } -> [ src ]
   | Call { callee; args; _ } ->
     let base = Array.to_list args in
@@ -141,7 +140,7 @@ let successors = function
 
 let map_instr_operands f = function
   | Load_argument _ as i -> i
-  | (Abort_check | Abort_poll _) as i -> i
+  | Abort_check as i -> i
   | Copy { dst; src } -> Copy { dst; src = f src }
   | Copy_value { dst; src } -> Copy_value { dst; src = f src }
   | Call { dst; callee; args } ->

@@ -42,10 +42,6 @@ type instr =
   | Kernel_call of { dst : var; head : Expr.t; args : operand array }
       (** escape to the interpreter (KernelFunction / gradual compilation) *)
   | Abort_check                        (** inserted by {!Abort_pass} *)
-  | Abort_poll of { stride : int; site : int }
-      (** strided abort poll: runs the real check every [stride] executions;
-          [site] identifies the per-loop counter.  Inserted by
-          {!Opt_abort_stride}. *)
   | Mem_acquire of operand
   | Mem_release of operand             (** inserted by {!Memory_pass} *)
   | Copy_value of { dst : var; src : operand }

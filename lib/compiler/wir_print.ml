@@ -44,7 +44,6 @@ let instr_to_string = function
     Printf.sprintf "%s = KernelCall %s [%s]" (var_to_string dst)
       (Wolf_wexpr.Form.input_form head) (args_to_string args)
   | Abort_check -> "AbortCheck"
-  | Abort_poll { stride; site } -> Printf.sprintf "AbortPoll stride=%d site=%d" stride site
   | Mem_acquire op -> Printf.sprintf "MemoryAcquire %s" (operand_to_string op)
   | Mem_release op -> Printf.sprintf "MemoryRelease %s" (operand_to_string op)
   | Copy_value { dst; src } ->

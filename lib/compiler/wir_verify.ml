@@ -140,10 +140,6 @@ let check_func f =
                   err "%s: b%d copy %%%d : %s from operand of type %s" f.fname
                     b.label dst.vid (Types.to_string dt) (Types.to_string st)
                 | _ -> ())
-              | Abort_poll { stride; _ } ->
-                if stride < 2 then
-                  err "%s: b%d Abort_poll stride %d (must be >= 2)" f.fname b.label
-                    stride
               | _ -> ())
            b.instrs)
       f.blocks;

@@ -1,6 +1,11 @@
 let on = Atomic.make false
 let enabled () = Atomic.get on
-let set_enabled b = Atomic.set on b
+let toggle_hook = ref (fun (_ : bool) -> ())
+let on_toggle f = toggle_hook := f
+
+(* one hook call per exchange that changed the flag: a counter the hook
+   keeps balances even when set_enabled races with itself *)
+let set_enabled b = if Atomic.exchange on b <> b then !toggle_hook b
 
 type cell = {
   name : string;

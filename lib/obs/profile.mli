@@ -16,6 +16,11 @@
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
+val on_toggle : (bool -> unit) -> unit
+(** Install the one callback {!set_enabled} runs on each real transition;
+    {!Wolf_base.Abort_signal} uses it to hold its poll word nonzero while
+    profiling is on, so compiled code reaches the counted abort check. *)
+
 val reset : unit -> unit
 (** Zero every per-function cell and event counter. *)
 

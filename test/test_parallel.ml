@@ -296,6 +296,140 @@ let test_fuzz_jobs_deterministic () =
     (List.length r1.Wolf_fuzz.Driver.failures)
     (List.length r4.Wolf_fuzz.Driver.failures)
 
+(* ------------------------------------------------------------------ *)
+(* The abort poll word                                                  *)
+
+module A = Wolf_base.Abort_signal
+
+let jit_on = lazy (B.Jit.available ())
+
+(* a step-2 loop is not strip-mined, so its header polls every iteration *)
+let step2_src =
+  {|Function[{Typed[n, "MachineInteger"]},
+     Module[{s = 0, i = 1}, While[i <= n, s = s + i; i = i + 2]; s]]|}
+
+let spin_src =
+  {|Function[{Typed[n, "MachineInteger"]},
+     Module[{i = 0}, While[i < n, i = i + 1]; i]]|}
+
+(* every in-process backend that compiles [src], by name *)
+let compiled_backends name src =
+  Wolfram.init ();
+  let c = Pipeline.compile ~name (parse src) in
+  let nat = B.Native.compile c in
+  ("threaded", nat)
+  :: (if Lazy.force jit_on then
+        match B.Jit.compile c with
+        | Ok j -> [ ("jit", j) ]
+        | Error e -> Alcotest.failf "jit: %s" e
+      else [])
+
+let call (f : Wolf_runtime.Rtval.closure) n =
+  f.Wolf_runtime.Rtval.call [| Wolf_runtime.Rtval.Int n |]
+
+let test_injection_stays_on_its_domain () =
+  (* arming an injection here makes the poll word nonzero, so compiled code
+     on the other domain takes the counted check on every header; that
+     check must neither abort it nor stall it *)
+  A.clear ();
+  let n = 100_001 in
+  let expect = ((n + 1) / 2) * ((n + 1) / 2) in
+  List.iter
+    (fun (name, f) ->
+       A.abort_after 1;
+       Fun.protect ~finally:A.clear (fun () ->
+           Alcotest.(check bool) (name ^ ": word set while armed") true
+             (Atomic.get A.pending <> 0);
+           let outcome =
+             Domain.join
+               (Domain.spawn (fun () ->
+                    match call f n with
+                    | Wolf_runtime.Rtval.Int v -> `Done v
+                    | _ -> `Other
+                    | exception A.Aborted -> `Aborted))
+           in
+           Alcotest.(check bool) (name ^ ": other domain runs to completion") true
+             (outcome = `Done expect)))
+    (compiled_backends "polldomain" step2_src)
+
+let test_request_stops_jit_loop () =
+  (* request () on a second domain must stop a JIT loop running here, both
+     a strip-mined loop (polls once per chunk) and a loop whose header
+     polls every iteration *)
+  if Lazy.force jit_on then
+    List.iter
+      (fun (name, src) ->
+         Wolfram.init ();
+         A.clear ();
+         let f =
+           match B.Jit.compile (Pipeline.compile ~name (parse src)) with
+           | Ok j -> j
+           | Error e -> Alcotest.failf "jit: %s" e
+         in
+         let requester =
+           Domain.spawn (fun () -> Unix.sleepf 0.02; A.request ())
+         in
+         let outcome =
+           match call f max_int with
+           | exception A.Aborted -> `Aborted
+           | _ -> `Finished
+         in
+         Domain.join requester;
+         A.clear ();
+         Alcotest.(check bool) (name ^ ": JIT loop aborted from another domain")
+           true (outcome = `Aborted))
+      [ ("jitspin", spin_src); ("jitstep2", step2_src) ]
+
+let test_profile_counts_header_polls () =
+  (* profiling keeps the poll word nonzero, so each poll reaches the counted
+     check: one for the prologue and one per header execution (i = 1, 3,
+     ..., 11 for n = 9) *)
+  Wolfram.init ();
+  let nat = B.Native.compile (Pipeline.compile ~name:"pollcount" (parse step2_src)) in
+  A.clear ();
+  Wolf_obs.Profile.reset ();
+  Wolf_obs.Profile.set_enabled true;
+  let polls =
+    Fun.protect
+      ~finally:(fun () -> Wolf_obs.Profile.set_enabled false)
+      (fun () ->
+         ignore (call nat 9);
+         Wolf_obs.Profile.abort_polls ())
+  in
+  Alcotest.(check int) "prologue + 6 header executions" 7 polls;
+  Alcotest.(check int) "word back to 0 with profiling off" 0 (Atomic.get A.pending)
+
+let test_pending_returns_to_zero () =
+  A.clear ();
+  Alcotest.(check int) "idle" 0 (Atomic.get A.pending);
+  A.request ();
+  A.request ();
+  Alcotest.(check int) "one unit per request flag" 1 (Atomic.get A.pending);
+  A.abort_after 3;
+  A.abort_after 5;
+  Alcotest.(check int) "one unit per armed domain" 2 (Atomic.get A.pending);
+  A.clear ();
+  Alcotest.(check int) "cleared" 0 (Atomic.get A.pending);
+  Wolf_obs.Profile.set_enabled true;
+  Wolf_obs.Profile.set_enabled true;
+  Alcotest.(check int) "one unit while profiling" 1 (Atomic.get A.pending);
+  Wolf_obs.Profile.set_enabled false;
+  Alcotest.(check int) "profiling off" 0 (Atomic.get A.pending);
+  (* request and clear racing on two domains: whatever the interleaving,
+     a final clear leaves the word at 0 *)
+  let go = Atomic.make false in
+  let hammer f =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do Domain.cpu_relax () done;
+        for _ = 1 to 20_000 do f () done)
+  in
+  let r = hammer A.request and c = hammer A.clear in
+  Atomic.set go true;
+  Domain.join r;
+  Domain.join c;
+  A.clear ();
+  Alcotest.(check int) "0 after a request/clear race" 0 (Atomic.get A.pending)
+
 let tests =
   [ Alcotest.test_case "interning is physically unique across domains" `Quick
       test_intern_stress;
@@ -318,4 +452,12 @@ let tests =
     Alcotest.test_case "pool propagates task exceptions" `Quick
       test_pool_exception;
     Alcotest.test_case "fuzz --jobs reproduces --jobs 1" `Quick
-      test_fuzz_jobs_deterministic ]
+      test_fuzz_jobs_deterministic;
+    Alcotest.test_case "injection on one domain spares another" `Quick
+      test_injection_stays_on_its_domain;
+    Alcotest.test_case "request from another domain stops a JIT loop" `Quick
+      test_request_stops_jit_loop;
+    Alcotest.test_case "profiling counts one poll per header" `Quick
+      test_profile_counts_header_polls;
+    Alcotest.test_case "poll word returns to 0 after clear" `Quick
+      test_pending_returns_to_zero ]

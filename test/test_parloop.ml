@@ -304,6 +304,42 @@ let test_injected_abort_in_compiled_loop () =
   | exception A.Aborted -> ()
   | v -> Alcotest.failf "expected Aborted, got %s" (Expr.to_string v)
 
+(* E15 SinSum's chunk loops run on several domains at once; its emitted
+   OCaml must declare no module-level mutable state they would all write
+   (the abort poll only reads the shared poll word) *)
+let test_chunk_emits_no_module_state () =
+  let src =
+    "Function[{Typed[n, \"MachineInteger\"]}, \
+     Module[{s = 0.0, i = 1}, \
+     While[i <= n, s = s + Sin[0.001*i]; i = i + 1]; s]]"
+  in
+  Wolfram.init ();
+  let c =
+    Wolf_compiler.Pipeline.compile ~options:par_options ~name:"sinsum" (parse src)
+  in
+  Alcotest.(check bool) "loop parallelised" true
+    (List.exists
+       (fun (k, d) ->
+          has_prefix ~prefix:"parloop." k && has_prefix ~prefix:"parallelized reduce" d)
+       c.Wolf_compiler.Pipeline.program.Wolf_compiler.Wir.pmeta);
+  let e = Wolf_backends.Ocaml_emit.emit ~module_name:"Sinsum" c in
+  let words line =
+    String.split_on_char ' ' line
+    |> List.concat_map (String.split_on_char '(')
+  in
+  let module_level line = String.length line >= 4 && String.sub line 0 4 = "let " in
+  List.iter
+    (fun line ->
+       let ws = words line in
+       if
+         List.mem "mutable" ws
+         || (module_level line
+             && List.exists
+                  (fun w -> List.mem w [ "ref"; "Atomic.make"; "Array.make"; "Hashtbl.create" ])
+                  ws)
+       then Alcotest.failf "module-level mutable state: %s" line)
+    (String.split_on_char '\n' e.Wolf_backends.Ocaml_emit.source)
+
 (* the direct reduce opcodes the source language reaches only through
    min/max reductions: merge identity and chunk order *)
 let test_reduce_opcodes () =
@@ -413,6 +449,8 @@ let tests =
       test_chunk_abort_wins;
     Alcotest.test_case "injected abort in compiled loop" `Quick
       test_injected_abort_in_compiled_loop;
+    Alcotest.test_case "parallel chunk emits no module-level state" `Quick
+      test_chunk_emits_no_module_state;
     Alcotest.test_case "direct min/max reduce opcodes" `Quick
       test_reduce_opcodes;
     Alcotest.test_case "saturated pool degrades to serial" `Quick

@@ -484,8 +484,7 @@ let test_inlining_of_declared_function () =
 let has_abort (b : Wir.block) =
   List.exists (function Wir.Abort_check -> true | _ -> false) b.Wir.instrs
 
-let has_poll (b : Wir.block) =
-  List.exists (function Wir.Abort_poll _ -> true | _ -> false) b.Wir.instrs
+let count_checks prog = count_instrs (function Wir.Abort_check -> true | _ -> false) prog
 
 let test_abort_placement () =
   let c = compile fn_src in
@@ -503,18 +502,15 @@ let test_abort_placement () =
     List.find (fun (l : Analysis.loop) -> l.lheader <> inner.Analysis.lheader) loops
   in
   let inner_hdr = Wir.find_block main inner.Analysis.lheader in
-  Alcotest.(check bool) "hot header check-free" false
-    (has_abort inner_hdr || has_poll inner_hdr);
+  Alcotest.(check bool) "hot header check-free" false (has_abort inner_hdr);
   Alcotest.(check bool) "chunk header checks" true
     (has_abort (Wir.find_block main chunk.Analysis.lheader));
   Alcotest.(check int) "checks: prologue + chunk header" 2
-    (count_instrs (function Wir.Abort_check -> true | _ -> false) c.Pipeline.program);
-  Alcotest.(check int) "no polls on a counted loop" 0
-    (count_instrs (function Wir.Abort_poll _ -> true | _ -> false) c.Pipeline.program)
+    (count_checks c.Pipeline.program)
 
-let test_abort_poll_fallback () =
+let test_abort_uncounted_loop_checks_header () =
   (* a step-2 loop is not counted (strip-mining requires +1 steps), so its
-     header falls back to the strided countdown poll *)
+     header keeps one inline check, polled on every iteration *)
   let c =
     compile
       {|Function[{Typed[n, "MachineInteger"]},
@@ -525,12 +521,11 @@ let test_abort_poll_fallback () =
   let loops = Analysis.natural_loops main cfg in
   Alcotest.(check int) "one loop" 1 (List.length loops);
   let hdr = Wir.find_block main (List.hd loops).Analysis.lheader in
-  Alcotest.(check bool) "header polls" true (has_poll hdr);
-  Alcotest.(check int) "one immediate check (prologue)" 1
-    (count_instrs (function Wir.Abort_check -> true | _ -> false) c.Pipeline.program)
+  Alcotest.(check bool) "header checks" true (has_abort hdr);
+  Alcotest.(check int) "checks: prologue + header" 2 (count_checks c.Pipeline.program)
 
 let test_abort_stride_disabled () =
-  (* stride 1 disables coalescing: every header keeps the immediate check *)
+  (* stride 1 disables strip-mining: every header keeps the immediate check *)
   let options = { Options.default with Options.abort_stride = 1 } in
   let c = compile ~options fn_src in
   let main = Wir.main c.Pipeline.program in
@@ -543,11 +538,11 @@ let test_abort_stride_disabled () =
          true
          (has_abort (Wir.find_block main l)))
     headers;
-  Alcotest.(check int) "no polls" 0
-    (count_instrs (function Wir.Abort_poll _ -> true | _ -> false) c.Pipeline.program)
+  Alcotest.(check int) "checks: prologue + one per header"
+    (1 + List.length headers) (count_checks c.Pipeline.program)
 
 let test_abort_stride_outer_keeps_check () =
-  (* only innermost call-free loops are coalesced; the outer header stays
+  (* only innermost call-free loops are strip-mined; the outer header stays
      immediate.  The counted inner loop is strip-mined, so the compiled CFG
      has three loops: outer (immediate check), the inner loop's chunk loop
      (immediate check, once per chunk) and the check-free hot loop. *)
@@ -566,17 +561,61 @@ let test_abort_stride_outer_keeps_check () =
     (fun (l : Analysis.loop) ->
        let hdr = Wir.find_block main l.Analysis.lheader in
        if Analysis.innermost loops l then
-         Alcotest.(check bool) "hot header check-free" false
-           (has_abort hdr || has_poll hdr)
+         Alcotest.(check bool) "hot header check-free" false (has_abort hdr)
        else
          Alcotest.(check bool) "enclosing header checks" true (has_abort hdr))
     loops
 
+(* the comparator stays a separate function without inlining; the loop
+   calls it, so it is not strip-mined and its header checks every time *)
+let leaf_src =
+  {|Function[{Typed[n, "MachineInteger"]},
+     Module[{f = Function[{Typed[a, "MachineInteger"], Typed[b, "MachineInteger"]}, a < b],
+             s = 0, i = 1},
+      While[i <= n, If[f[i, 3], s = s + 1]; i = i + 1]; s]]|}
+
+let leaf_options = { Options.default with Options.inline_level = 0 }
+
+let test_abort_leaf_prologue_elided () =
+  let c = compile ~options:leaf_options leaf_src in
+  let prog = c.Pipeline.program in
+  let main = Wir.main prog in
+  Alcotest.(check int) "two functions" 2 (List.length prog.Wir.funcs);
+  List.iter
+    (fun (f : Wir.func) ->
+       let checks = count_checks { prog with Wir.funcs = [ f ] } in
+       if f == main then begin
+         Alcotest.(check bool) "main keeps its prologue check" true
+           (has_abort (Wir.entry f));
+         Alcotest.(check int) "main: prologue + loop header" 2 checks
+       end
+       else Alcotest.(check int) "comparator has no checks" 0 checks)
+    prog.Wir.funcs
+
+let test_abort_lands_in_loop_calling_leaf () =
+  let module A = Wolf_base.Abort_signal in
+  let c = compile ~options:leaf_options leaf_src in
+  let nat = Wolf_backends.Native.compile c in
+  let call n = nat.Wolf_runtime.Rtval.call [| Wolf_runtime.Rtval.Int n |] in
+  (* an armed injection makes every poll a counted check: the prologue and
+     the 11 header executions of a 10-iteration loop, none in the leaf *)
+  A.clear ();
+  A.abort_after 1_000;
+  A.reset_stats ();
+  Fun.protect ~finally:A.clear (fun () ->
+      ignore (call 10);
+      Alcotest.(check int) "polls: prologue + headers" 12 (A.checks_performed ()));
+  A.abort_after 5;
+  Fun.protect ~finally:A.clear (fun () ->
+      match call 1_000_000 with
+      | exception A.Aborted -> ()
+      | _ -> Alcotest.fail "Abort[] did not land through the loop header");
+  Alcotest.(check int) "poll word back to 0" 0 (Atomic.get A.pending)
+
 let test_abort_disabled () =
   let options = { Options.default with Options.abort_handling = false } in
   let c = compile ~options fn_src in
-  Alcotest.(check int) "no checks" 0
-    (count_instrs (function Wir.Abort_check -> true | _ -> false) c.Pipeline.program)
+  Alcotest.(check int) "no checks" 0 (count_checks c.Pipeline.program)
 
 let test_memory_pass_balance () =
   let c =
@@ -686,9 +725,11 @@ let tests =
     Alcotest.test_case "licm can be disabled" `Quick test_licm_disabled;
     Alcotest.test_case "bounds-check elimination" `Quick test_bounds_check_elimination;
     Alcotest.test_case "abort checks at loop heads + prologue" `Quick test_abort_placement;
-    Alcotest.test_case "non-counted loops fall back to polls" `Quick test_abort_poll_fallback;
+    Alcotest.test_case "non-counted loops check every header" `Quick test_abort_uncounted_loop_checks_header;
     Alcotest.test_case "abort stride 1 keeps immediate checks" `Quick test_abort_stride_disabled;
     Alcotest.test_case "abort stride spares outer headers" `Quick test_abort_stride_outer_keeps_check;
+    Alcotest.test_case "leaf functions skip the prologue check" `Quick test_abort_leaf_prologue_elided;
+    Alcotest.test_case "abort lands in a loop calling a leaf" `Quick test_abort_lands_in_loop_calling_leaf;
     Alcotest.test_case "abort handling off" `Quick test_abort_disabled;
     Alcotest.test_case "memory pass balance" `Quick test_memory_pass_balance;
     Alcotest.test_case "memory pass ignores scalars" `Quick test_memory_pass_skips_scalars;
