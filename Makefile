@@ -35,7 +35,9 @@ bench: build
 # the executor, a JSON string escaper besides Json_min.escape (its
 # \u%04x control-character escape is the fingerprint), or an abort poll
 # besides the read-only test of Abort_signal.pending (the retired strided
-# countdown's names may appear nowhere)
+# countdown's names may appear nowhere), a counted-loop induction-step
+# match besides Analysis.counted_loop, or a mangled name sliced anywhere
+# but Infer.with_base
 one-of-each:
 	@fail=0; \
 	check() { \
@@ -48,6 +50,10 @@ one-of-each:
 	check 'Domain\.spawn' lib/parallel/executor.ml 'Domain.spawn'; \
 	check 'let (rec )?[a-z_]*json_escape|u%04[xX]' lib/obs/json_min.ml \
 	  'a JSON string escaper'; \
+	check 'Resolved \{ *base = "checked_binary_plus"' lib/compiler/analysis.ml \
+	  'a counted-loop step match'; \
+	check 'String\.sub [a-z_.]*mangled' lib/compiler/infer.ml \
+	  'a mangled-name slice'; \
 	hits=$$(grep -rnE 'Abort_poll|wolf_poll_' lib bin); \
 	if [ -n "$$hits" ]; then \
 	  echo "one-of-each: a second abort-poll mechanism:"; echo "$$hits"; fail=1; \

@@ -474,7 +474,7 @@ let fig2_write_json path rows =
     \  \"figure\": \"fig2\",\n\
     \  \"abort_stride\": %d,\n\
     \  \"benchmarks\": [\n%s\n  ]\n}\n"
-    Options.default.Options.abort_stride
+    Opt_abort_stride.stride
     (String.concat ",\n" (List.map entry rows));
   close_out oc;
   Printf.printf "wrote %s\n%!" path

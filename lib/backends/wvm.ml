@@ -39,9 +39,11 @@ type compiled_function = {
 let resolve_op_ref : (string -> wval array -> int array -> wval) ref =
   ref (fun _ _ _ -> assert false)
 
-(* Back-edges between real abort checks in compiled loops (strided
-   polling); mirrors [Options.abort_stride] for the WIR backends. *)
-let abort_stride = ref 1024
+(* Loop-top polls between real abort checks in WVM loops.  The legacy
+   bytecode keeps its own countdown ([Poll], part of the image format);
+   the WIR backends instead strip-mine counted loops
+   ({!Wolf_compiler.Opt_abort_stride.stride}). *)
+let abort_stride = 1024
 
 (* Memoising wrapper: the opcode-name lookup happens once per instruction,
    not once per execution; dispatchers read registers directly so no
@@ -213,7 +215,7 @@ and compile_normal st h args whole =
     (* the poll at the loop top replaces the former per-back-edge abort
        check: one real check every [abort_stride] iterations *)
     let top = st.len in
-    ignore (emit st (Poll { stride = !abort_stride; budget = !abort_stride }));
+    ignore (emit st (Poll { stride = abort_stride; budget = abort_stride }));
     let cond = compile_expr st args.(0) in
     let jmp_exit = emit st (JumpIfFalse { src = cond; target = -1 }) in
     if Array.length args = 2 then ignore (compile_expr st args.(1));

@@ -251,31 +251,109 @@ let incoming_jumps f label =
        List.filter (fun (_, j) -> j.target = label) js)
     f.blocks
 
-(* Does every value reaching position [pos] of [label] over non-latch edges
-   come from an integer constant >= [bound]?  Follows forwarding block
-   parameters (e.g. a preheader introduced by LICM) a bounded number of
-   steps. *)
-let rec entry_consts_ge f ~latches ~label ~pos ~bound ~depth =
-  depth < 3
-  && List.for_all
-       (fun (src, (j : jump)) ->
-          List.mem src latches
-          || (match j.jargs.(pos) with
-              | Oconst (Cint k) -> k >= bound
-              | Oconst _ -> false
-              | Ovar v ->
-                let src_block = find_block f src in
-                (match
-                   Array.to_list src_block.bparams
-                   |> List.mapi (fun q p -> (q, p))
-                   |> List.find_opt (fun (_, p) -> p.vid = v.vid)
-                 with
-                 | Some (q, _) ->
-                   (* forwarded parameter: check the forwarder's own edges *)
-                   entry_consts_ge f ~latches:[] ~label:src ~pos:q ~bound
-                     ~depth:(depth + 1)
-                 | None -> false)))
-       (incoming_jumps f label)
+let loop_defs f l =
+  let t = Hashtbl.create 32 in
+  List.iter
+    (fun b ->
+       if loop_contains l b.label then begin
+         Array.iter (fun v -> Hashtbl.replace t v.vid ()) b.bparams;
+         List.iter
+           (fun i -> List.iter (fun v -> Hashtbl.replace t v.vid ()) (instr_defs i))
+           b.instrs
+       end)
+    f.blocks;
+  t
+
+(* ---- the counted-loop shape, shared by BCE, strip-mining and parallel
+   loops ----
+
+     hdr(.., i, ..):  g = i <= n        (or i < n; n an invariant integer)
+                      Branch g ? body : exit
+     latches:         jump hdr(.., i + 1, ..)
+
+   Copies are chased from the branch condition to the comparison, from its
+   first operand to [i], and from each latch argument to the step.  Passes
+   that rewrite the comparison add the check that [g] is its own result. *)
+
+type counted = {
+  guard : var;
+  guard_callee : callee;
+  strict : bool;
+  iv_pos : int;
+  iv : var;
+  bound : operand;
+  exit_edge : jump;
+  exits : bool;
+  defs : (int, unit) Hashtbl.t;
+}
+
+let counted_loop f l =
+  let hdr = find_block f l.lheader in
+  match hdr.term with
+  | Branch { cond = Ovar guard; if_true; if_false }
+    when loop_contains l if_true.target && not (List.mem l.lheader l.latches) -> (
+    let def_of = def_table f in
+    let defs = loop_defs f l in
+    let int_invariant op =
+      (match op with Ovar v -> not (Hashtbl.mem defs v.vid) | Oconst _ -> true)
+      && match operand_ty op with Some t -> Types.equal t Types.int64 | None -> false
+    in
+    match resolved_def def_of guard with
+    | Some
+        (Call
+           { callee = Resolved { base = ("binary_less" | "binary_less_equal") as base; _ }
+                      as guard_callee;
+             args = [| Ovar iv0; bound |];
+             _ })
+      when int_invariant bound -> (
+      let iv = chase_copies def_of iv0 in
+      match Array.find_index (fun p -> p.vid = iv.vid) hdr.bparams with
+      | None -> None
+      | Some iv_pos ->
+        let steps_by_one (src, (j : jump)) =
+          (not (List.mem src l.latches))
+          ||
+          match j.jargs.(iv_pos) with
+          | Ovar s -> (
+            match resolved_def def_of s with
+            | Some
+                (Call
+                   { callee = Resolved { base = "checked_binary_plus"; _ };
+                     args = [| Ovar i'; Oconst (Cint 1) |];
+                     _ }) ->
+              (chase_copies def_of i').vid = iv.vid
+            | _ -> false)
+          | Oconst _ -> false
+        in
+        if List.for_all steps_by_one (incoming_jumps f l.lheader) then
+          Some
+            { guard; guard_callee; strict = base = "binary_less"; iv_pos; iv;
+              bound; exit_edge = if_false;
+              exits = not (loop_contains l if_false.target); defs }
+        else None)
+    | _ -> None)
+  | _ -> None
+
+(* Every value reaching [i] over an entry edge is an integer constant >= k,
+   looking through forwarding block parameters (e.g. a preheader inserted
+   by LICM) up to three levels. *)
+let starts_at_least f l c k =
+  let rec from ~latches ~label ~pos ~depth =
+    depth < 3
+    && List.for_all
+         (fun (src, (j : jump)) ->
+            List.mem src latches
+            ||
+            match j.jargs.(pos) with
+            | Oconst (Cint n) -> n >= k
+            | Oconst _ -> false
+            | Ovar v -> (
+              match Array.find_index (fun p -> p.vid = v.vid) (find_block f src).bparams with
+              | Some q -> from ~latches:[] ~label:src ~pos:q ~depth:(depth + 1)
+              | None -> false))
+         (incoming_jumps f label)
+  in
+  from ~latches:l.latches ~label:l.lheader ~pos:c.iv_pos ~depth:0
 
 let op_var_ids ops =
   List.filter_map (function Ovar v -> Some v.vid | Oconst _ -> None) ops

@@ -1,7 +1,8 @@
 (** CFG analyses shared by the optimisation and obligation passes:
     dominators (Cooper–Harvey–Kennedy), the loop headers derived from back
-    edges (used by {!Abort_pass}, paper §4.5), and per-block liveness (used
-    by {!Memory_pass} and {!Mutability_pass}). *)
+    edges (used by {!Abort_pass}, paper §4.5), natural loops and the one
+    counted-loop recognizer (used by the loop passes), and per-block
+    liveness (used by {!Memory_pass} and {!Mutability_pass}). *)
 
 type cfg = {
   order : int array;                  (** reverse postorder of block labels *)
@@ -48,16 +49,38 @@ val chase_copies : (int, Wir.instr) Hashtbl.t -> Wir.var -> Wir.var
 val resolved_def : (int, Wir.instr) Hashtbl.t -> Wir.var -> Wir.instr option
 (** The defining instruction after chasing copies. *)
 
-val incoming_jumps : Wir.func -> int -> (int * Wir.jump) list
-(** All (source label, jump) edges in the function targeting a label. *)
+val loop_defs : Wir.func -> loop -> (int, unit) Hashtbl.t
+(** Ids of the variables defined in the loop: its blocks' parameters and
+    instruction results. *)
 
-val entry_consts_ge :
-  Wir.func -> latches:int list -> label:int -> pos:int -> bound:int ->
-  depth:int -> bool
-(** Does every value reaching parameter [pos] of [label] over non-[latches]
-    edges come from an integer constant [>= bound]?  Traces through
-    forwarding block parameters up to 3 - [depth] levels; call with
-    [~depth:0]. *)
+type counted = {
+  guard : Wir.var;            (** the header branch's condition *)
+  guard_callee : Wir.callee;  (** the comparison computing it (copies
+                                  chased): resolved [binary_less] or
+                                  [binary_less_equal] *)
+  strict : bool;              (** [i < n] rather than [i <= n] *)
+  iv_pos : int;               (** header parameter index of [i] *)
+  iv : Wir.var;               (** [i], a header parameter *)
+  bound : Wir.operand;        (** [n]: Integer64, not defined in the loop *)
+  exit_edge : Wir.jump;       (** the header's false edge *)
+  exits : bool;               (** [exit_edge] leaves the loop *)
+  defs : (int, unit) Hashtbl.t;  (** {!loop_defs} *)
+}
+
+val counted_loop : Wir.func -> loop -> counted option
+(** The one counted-loop recognizer ([i = c0, c0 + 1, ... while i <= n]),
+    shared by bounds-check elimination, abort strip-mining and parallel
+    loops: the header ends in a [Branch] whose true edge stays in the loop,
+    on a [<]/[<=] comparison of a header parameter [i] against an
+    [Integer64] [n] not defined in the loop, and every latch — none of them the header itself —
+    passes [checked_binary_plus(i, 1)] for [i].  Copies are chased from
+    the condition to the comparison, from its first operand to [i], and
+    from latch arguments to the step. *)
+
+val starts_at_least : Wir.func -> loop -> counted -> int -> bool
+(** [starts_at_least f l c k]: every entry edge passes an integer constant
+    [>= k] for [i], looking through up to three forwarding blocks (such as
+    a preheader). *)
 
 val live_out : Wir.func -> (int, (int, unit) Hashtbl.t) Hashtbl.t
 (** Variable ids live out of each block. *)

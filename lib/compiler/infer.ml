@@ -230,6 +230,13 @@ let mangled_name decl arg_tys =
   | Type_env.Wolfram _ -> Printf.sprintf "%s$%s" decl.Type_env.dname tys
   | Type_env.External name -> name
 
+let with_base callee base =
+  match callee with
+  | Resolved { base = old; mangled } when String.starts_with ~prefix:old mangled ->
+    let n = String.length old in
+    Resolved { base; mangled = base ^ String.sub mangled n (String.length mangled - n) }
+  | _ -> invalid_arg "Infer.with_base: not a resolved primitive"
+
 let write_back p alternatives table =
   List.iter
     (fun alt ->

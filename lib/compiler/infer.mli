@@ -26,6 +26,15 @@ val infer :
 (** Mutates variable types in place (WIR → TWIR).
     @raise Wolf_base.Errors.Compile_error on type errors. *)
 
+val with_base : Wir.callee -> string -> Wir.callee
+(** [with_base callee b]: primitive [b] at the types of the resolved
+    [callee] — the one place a mangled name [base_<types>] is re-sliced.
+    Renaming [part_set_1] (mangled [part_set_1_PA_I64_1_I64_I64]) to
+    [part_set_1_inplace] gives mangled
+    [part_set_1_inplace_PA_I64_1_I64_I64].
+    @raise Invalid_argument unless [callee] is [Resolved] with [mangled]
+    starting with [base]. *)
+
 val check_ground : Wir.program -> unit
 (** Code generation precondition: every variable's type is fully resolved
     ("a compile error is issued if any variable type is missing", §4.6). *)

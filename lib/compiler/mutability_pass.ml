@@ -46,10 +46,9 @@ let run (p : program) =
               List.map
                 (fun i ->
                    match i with
-                   | Call { dst; callee = Resolved { base; mangled }; args }
-                     when String.length base >= 8
-                       && String.sub base 0 8 = "part_set"
-                       && not (Filename.check_suffix mangled "_inplace") ->
+                   | Call { dst; callee = Resolved { base; _ } as callee; args }
+                     when String.starts_with ~prefix:"part_set" base
+                       && not (Filename.check_suffix base "_inplace") ->
                      let rec root_def v =
                        match Hashtbl.find_opt def_instr v with
                        | Some (Copy { src = Ovar u; _ })
@@ -66,10 +65,7 @@ let run (p : program) =
                               | None -> false) ->
                         incr promoted;
                         Call
-                          { dst;
-                            callee =
-                              Resolved { base; mangled = mangled ^ "_inplace" };
-                            args }
+                          { dst; callee = Infer.with_base callee (base ^ "_inplace"); args }
                       | _ -> i)
                    | i -> i)
                 b.instrs)

@@ -3,8 +3,9 @@
 
    The pass runs once, after the scalar optimisation fixpoint and before the
    mutability/abort/memory obligation passes.  It looks for innermost
-   counted loops of the shape the macro expansions of [Table], [Map],
-   [Fold] and [Total] produce after inlining —
+   counted loops ({!Analysis.counted_loop}) of the shape the macro
+   expansions of [Table], [Map], [Fold] and [Total] produce after
+   inlining —
 
      header:  c = binary_less{,_equal}(iv, n)     (n loop-invariant)
               Branch c ? body : exit
@@ -136,78 +137,41 @@ let kind_name = function Kmap -> "map" | Kreduce _ -> "reduce"
 
 type reco = {
   r_loop : Analysis.loop;
-  r_latch : int;
-  r_iv_pos : int;
+  r_counted : Analysis.counted;
   r_carry_pos : int;
-  r_guard_base : string;   (* binary_less | binary_less_equal *)
-  r_guard_mangled : string;
-  r_bound : operand;
   r_kind : kind;
   r_tainted : (int, unit) Hashtbl.t;
 }
 
+(* On top of {!Analysis.counted_loop}: one latch, the guard leaves the loop
+   and is computed in the header with the branch as its only use, no other
+   exits, then purity and the accumulator chain below. *)
 let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
   try
-    let def_of = Analysis.def_table f in
-    let counts = Analysis.use_counts f in
-    let hdr = find_block f l.lheader in
+    let c =
+      match Analysis.counted_loop f l with
+      | Some c -> c
+      | None -> reject "not a counted loop"
+    in
     let latch_label =
       match l.latches with [ x ] -> x | _ -> reject "multiple latches"
     in
-    if latch_label = l.lheader then reject "bottom-tested loop";
+    if not c.exits then reject "no counted exit test";
+    if Hashtbl.find_opt (Analysis.use_counts f) c.guard.vid <> Some 1 then
+      reject "loop condition escapes";
+    let hdr = find_block f l.lheader in
+    if
+      not
+        (List.exists
+           (function Call { dst; _ } -> dst.vid = c.guard.vid | _ -> false)
+           hdr.instrs)
+    then reject "guard not computed in the header";
+    let def_of = Analysis.def_table f in
     let in_body lbl = Analysis.loop_contains l lbl in
     let body_blocks = List.filter (fun b -> in_body b.label) f.blocks in
-    (* loop-defined variable ids *)
-    let loop_defs = Hashtbl.create 32 in
-    List.iter
-      (fun b ->
-         Array.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) b.bparams;
-         List.iter
-           (fun i ->
-              List.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) (instr_defs i))
-           b.instrs)
-      body_blocks;
-    let invariant_op = function
-      | Oconst _ -> true
-      | Ovar v -> not (Hashtbl.mem loop_defs v.vid)
-    in
+    let loop_defs = c.defs in
+    let iv = c.iv and iv_pos = c.iv_pos in
     let is_hdr_param v = Array.exists (fun p -> p.vid = v.vid) hdr.bparams in
-    (* guard: header exits the loop on a <=|< comparison of a header
-       parameter against an invariant bound *)
-    let guard_base, guard_mangled, iv, bound, exit_jump =
-      match hdr.term with
-      | Branch { cond = Ovar c; if_true; if_false }
-        when in_body if_true.target && not (in_body if_false.target) -> (
-        if Hashtbl.find_opt counts c.vid <> Some 1 then
-          reject "loop condition escapes";
-        match Hashtbl.find_opt def_of c.vid with
-        | Some
-            (Call
-               { callee =
-                   Resolved
-                     { base = ("binary_less" | "binary_less_equal") as base;
-                       mangled };
-                 args = [| Ovar iv0; bound |];
-                 _ })
-          when invariant_op bound ->
-          if
-            not
-              (List.exists
-                 (fun i -> List.exists (fun v -> v.vid = c.vid) (instr_defs i))
-                 hdr.instrs)
-          then reject "guard not computed in the header";
-          let iv = Analysis.chase_copies def_of iv0 in
-          if not (is_hdr_param iv) then
-            reject "guard does not test a loop carry";
-          (base, mangled, iv, bound, if_false)
-        | _ -> reject "not a counted loop")
-      | _ -> reject "no counted exit test"
-    in
-    let iv_pos =
-      let p = ref (-1) in
-      Array.iteri (fun q v -> if v.vid = iv.vid then p := q) hdr.bparams;
-      !p
-    in
     (* all other body blocks stay inside the loop *)
     List.iter
       (fun b ->
@@ -219,27 +183,13 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
                reject "multiple exits"
            | Return _ | Unreachable -> reject "multiple exits")
       body_blocks;
-    (* single latch stepping iv by one *)
-    let latch = find_block f latch_label in
     let latch_jump =
-      match latch.term with
-      | Jump j when j.target = l.lheader -> j
+      match (find_block f latch_label).term with
+      | Jump j -> j
       | Branch { if_true; _ } when if_true.target = l.lheader -> if_true
-      | Branch { if_false; _ } when if_false.target = l.lheader -> if_false
-      | _ -> reject "irregular latch"
+      | Branch { if_false; _ } -> if_false
+      | Return _ | Unreachable -> assert false
     in
-    (match latch_jump.jargs.(iv_pos) with
-     | Ovar s -> (
-       match Analysis.resolved_def def_of s with
-       | Some
-           (Call
-              { callee = Resolved { base = "checked_binary_plus"; _ };
-                args = [| Ovar iv'; Oconst (Cint 1) |];
-                _ })
-         when (Analysis.chase_copies def_of iv').vid = iv.vid ->
-         ()
-       | _ -> reject "induction step is not +1")
-     | _ -> reject "induction step is not +1");
     (* exactly one carried accumulator besides the induction variable *)
     let carried = ref [] in
     Array.iteri
@@ -270,7 +220,7 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
         | Ovar v ->
           if Hashtbl.mem loop_defs v.vid && not (is_hdr_param v) then
             reject "loop value escapes on exit")
-      exit_jump.jargs;
+      c.exit_edge.jargs;
     List.iter
       (fun b ->
          if not (in_body b.label) then begin
@@ -483,19 +433,10 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
         | [] -> reject "accumulator is only copied"
         | _ -> reject "mixed reduction operators")
     in
-    let suffix_ok =
-      String.length guard_mangled >= String.length guard_base
-      && String.sub guard_mangled 0 (String.length guard_base) = guard_base
-    in
-    if not suffix_ok then reject "unexpected guard mangling";
     Ok
       { r_loop = l;
-        r_latch = latch_label;
-        r_iv_pos = iv_pos;
+        r_counted = c;
         r_carry_pos = carry_pos;
-        r_guard_base = guard_base;
-        r_guard_mangled = guard_mangled;
-        r_bound = bound;
         r_kind = kind;
         r_tainted = tainted }
   with Reject msg -> Error msg
@@ -513,19 +454,10 @@ let unique_fname p base counter =
 let transform (p : program) (f : func) (r : reco) counter =
   let l = r.r_loop in
   let hdr = find_block f l.lheader in
-  let iv = hdr.bparams.(r.r_iv_pos) in
+  let c = r.r_counted in
+  let iv = c.iv in
   let carry = hdr.bparams.(r.r_carry_pos) in
-  let exit_jump =
-    match hdr.term with
-    | Branch { if_false; _ } -> if_false
-    | _ -> assert false
-  in
-  let suffix =
-    String.sub r.r_guard_mangled
-      (String.length r.r_guard_base)
-      (String.length r.r_guard_mangled - String.length r.r_guard_base)
-  in
-  let resolved b = Resolved { base = b; mangled = b ^ suffix } in
+  let resolved = Infer.with_base c.guard_callee in
   let pre_label =
     Analysis.ensure_preheader f ~header:l.lheader ~latches:l.latches
   in
@@ -537,15 +469,7 @@ let transform (p : program) (f : func) (r : reco) counter =
   in
   let in_body lbl = Analysis.loop_contains l lbl in
   let body_blocks = List.filter (fun b -> in_body b.label) f.blocks in
-  let loop_defs = Hashtbl.create 32 in
-  List.iter
-    (fun b ->
-       Array.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) b.bparams;
-       List.iter
-         (fun i ->
-            List.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) (instr_defs i))
-         b.instrs)
-    body_blocks;
+  let loop_defs = c.defs in
   (* invariant variables used by the body (except through the exit edge)
      become closure captures, in deterministic first-use order *)
   let cap_order = ref [] in
@@ -574,7 +498,7 @@ let transform (p : program) (f : func) (r : reco) counter =
   (* entry values of passthrough parameters are also needed inside *)
   Array.iteri
     (fun q op ->
-       if q <> r.r_iv_pos && q <> r.r_carry_pos then note_use op)
+       if q <> c.iv_pos && q <> r.r_carry_pos then note_use op)
     entry_jargs;
   let cap_vars = List.rev !cap_order in
   let carry_p = fresh_var ~name:"carry" ?ty:carry.vty () in
@@ -612,29 +536,15 @@ let transform (p : program) (f : func) (r : reco) counter =
     { target = Hashtbl.find label_map j.target;
       jargs = Array.map map_op j.jargs }
   in
-  let guard_vid =
-    match hdr.term with
-    | Branch { cond = Ovar c; _ } -> c.vid
-    | _ -> assert false
-  in
   let clone_instr i =
     match i with
-    | Call { dst; callee = Resolved { base = "part_set_1"; mangled }; args }
+    | Call { dst; callee = Resolved { base = "part_set_1"; _ } as callee; args }
       when Hashtbl.mem r.r_tainted dst.vid ->
-      let msuffix =
-        String.sub mangled (String.length "part_set_1")
-          (String.length mangled - String.length "part_set_1")
-      in
       Call
         { dst = clone_var dst;
-          callee =
-            Resolved
-              { base = "part_set_1_inplace";
-                mangled = "part_set_1_inplace" ^ msuffix };
+          callee = Infer.with_base callee "part_set_1_inplace";
           args = Array.map map_op args }
-    | Call { dst; callee; args } when dst.vid = guard_vid ->
-      ignore callee;
-      ignore args;
+    | Call { dst; _ } when dst.vid = c.guard.vid ->
       Call
         { dst = clone_var dst;
           callee = resolved "binary_less_equal";
@@ -693,7 +603,7 @@ let transform (p : program) (f : func) (r : reco) counter =
             jargs =
               Array.mapi
                 (fun q _ ->
-                   if q = r.r_iv_pos then Ovar lo_p
+                   if q = c.iv_pos then Ovar lo_p
                    else if q = r.r_carry_pos then Ovar carry_p
                    else
                      match entry_jargs.(q) with
@@ -716,7 +626,7 @@ let transform (p : program) (f : func) (r : reco) counter =
   and run_l = max_label + 2
   and skip_l = max_label + 3
   and join_l = max_label + 4 in
-  let lo_op = entry_jargs.(r.r_iv_pos) in
+  let lo_op = entry_jargs.(c.iv_pos) in
   let carry_op = entry_jargs.(r.r_carry_pos) in
   let c0 = fresh_var ~name:"c0" ~ty:Types.boolean () in
   let check_block =
@@ -725,10 +635,8 @@ let transform (p : program) (f : func) (r : reco) counter =
       instrs =
         [ Call
             { dst = c0;
-              callee =
-                Resolved
-                  { base = r.r_guard_base; mangled = r.r_guard_mangled };
-              args = [| lo_op; r.r_bound |] } ];
+              callee = c.guard_callee;
+              args = [| lo_op; c.bound |] } ];
       term =
         Branch
           { cond = Ovar c0;
@@ -742,13 +650,13 @@ let transform (p : program) (f : func) (r : reco) counter =
   in
   let opcode = match r.r_kind with Kmap -> 0 | Kreduce k -> k in
   let hi_instrs, hi_op =
-    if r.r_guard_base = "binary_less_equal" then ([], r.r_bound)
+    if not c.strict then ([], c.bound)
     else
       let last = fresh_var ~name:"last" ?ty:iv.vty () in
       ( [ Call
             { dst = last;
               callee = resolved "checked_binary_subtract";
-              args = [| r.r_bound; Oconst (Cint 1) |] } ],
+              args = [| c.bound; Oconst (Cint 1) |] } ],
         Ovar last )
   in
   let clo_ty =
@@ -759,19 +667,19 @@ let transform (p : program) (f : func) (r : reco) counter =
   let clo = fresh_var ~name:"parfn" ?ty:clo_ty () in
   let res = fresh_var ~name:"parres" ?ty:carry.vty () in
   let post_instrs, iv_final =
-    if r.r_guard_base = "binary_less_equal" then
+    if not c.strict then
       let ivf = fresh_var ~name:"ivf" ?ty:iv.vty () in
       ( [ Call
             { dst = ivf;
               callee = resolved "checked_binary_plus";
-              args = [| r.r_bound; Oconst (Cint 1) |] } ],
+              args = [| c.bound; Oconst (Cint 1) |] } ],
         Ovar ivf )
-    else ([], r.r_bound)
+    else ([], c.bound)
   in
   let join_args_of ~ivv ~carryv =
     Array.mapi
       (fun q _ ->
-         if q = r.r_iv_pos then ivv
+         if q = c.iv_pos then ivv
          else if q = r.r_carry_pos then carryv
          else entry_jargs.(q))
       hdr.bparams
@@ -809,7 +717,7 @@ let transform (p : program) (f : func) (r : reco) counter =
     { label = join_l;
       bparams = Array.copy hdr.bparams;
       instrs = [];
-      term = Jump exit_jump }
+      term = Jump c.exit_edge }
   in
   pre.term <- Jump { target = check_l; jargs = [||] };
   f.blocks <-

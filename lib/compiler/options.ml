@@ -11,7 +11,6 @@ type t = {
   dump_after : string list;
   use_cache : bool;
   loop_opts : bool;
-  abort_stride : int;
   profile : bool;
   parallel_loops : bool;
 }
@@ -29,7 +28,6 @@ let default = {
   dump_after = [];
   use_cache = true;
   loop_opts = true;
-  abort_stride = 1024;
   profile = false;
   parallel_loops = false;
 }
@@ -55,6 +53,5 @@ let fingerprint t =
       "dump=" ^ String.concat "," t.dump_after;
       "cache=" ^ string_of_bool t.use_cache;
       "loops=" ^ string_of_bool t.loop_opts;
-      "stride=" ^ string_of_int t.abort_stride;
       "profile=" ^ string_of_bool t.profile;
       "parloops=" ^ string_of_bool t.parallel_loops ]

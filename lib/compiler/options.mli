@@ -19,9 +19,6 @@ type t = {
   loop_opts : bool;          (** natural-loop optimisations (LICM, bounds-check
                                  elimination, strip-mining of counted loops
                                  for abort checks) at -O1+ *)
-  abort_stride : int;        (** iterations per check-free chunk of a
-                                 strip-mined counted loop (1 = no
-                                 strip-mining: every header checks) *)
   profile : bool;            (** instrument emitted functions with call
                                  counts and self-time
                                  ({!Wolf_obs.Profile}; wolfc

@@ -122,14 +122,10 @@ let compile ?(options = Options.default) ?type_env ?macro_env ?(user_passes = []
       (Pass_manager.run_pass mgr
          (Pass_manager.of_unit "abort-insertion" Abort_pass.run)
          prog);
-    if
-      options.Options.opt_level > 0 && options.Options.loop_opts
-      && options.Options.abort_stride > 1
-    then
+    if options.Options.opt_level > 0 && options.Options.loop_opts then
       ignore
         (Pass_manager.run_pass mgr
-           (Pass_manager.of_unit "abort-stride"
-              (Opt_abort_stride.run ~stride:options.Options.abort_stride))
+           (Pass_manager.of_unit "abort-stride" Opt_abort_stride.run)
            prog)
   end;
   if options.Options.memory_management then

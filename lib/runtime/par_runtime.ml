@@ -27,12 +27,14 @@
    it claims, so a domain-local injected abort fires at chunk
    granularity.
 
-   Schedule search: per loop (identified by a compiler fingerprint) and
-   per shape class (log2 of the trip count) the first execution measures
-   3–4 candidate schedules — serial, one chunk per worker ("static"), and
-   4×/16× oversubscribed chunking ("dynamic", claimed from the atomic
-   cursor) — and caches the winner, optionally persisting it next to the
-   disk compile cache.  Cache hits never re-measure. *)
+   Schedule search: per loop (identified by a compiler fingerprint), per
+   shape class (log2 of the trip count) and per worker count, the first
+   execution measures 3–4 candidate schedules — serial, one chunk per
+   worker ("static"), and 4×/16× oversubscribed chunking ("dynamic",
+   claimed from the atomic cursor) — and caches the winner, optionally
+   persisting it next to the disk compile cache.  Cache hits never
+   re-measure; a lone candidate (jobs = 1, or too few iterations to split)
+   is run without timing or caching. *)
 
 open Wolf_wexpr
 open Rtval
@@ -114,14 +116,14 @@ let run_chunks ~jobs (chunks : (int * int) array) (body : int -> int -> int -> u
       body i a b)
 
 (* ------------------------------------------------------------------ *)
-(* Schedule cache: (loop fingerprint, shape class) -> winner.  Optionally
-   persisted as a sidecar of the disk compile cache. *)
+(* Schedule cache: (loop fingerprint, shape class, jobs) -> winner.
+   Optionally persisted as a sidecar of the disk compile cache. *)
 
-let cache : (string * int, schedule) Hashtbl.t = Hashtbl.create 32
+let cache : (string * int * int, schedule) Hashtbl.t = Hashtbl.create 32
 let cache_lock = Mutex.create ()
 let persist_path : string option ref = ref None
 
-let persist_magic = "wolf-parloop-schedules-v1"
+let persist_magic = "wolf-parloop-schedules-v2"
 
 let shape_class n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
@@ -137,7 +139,7 @@ let save_cache_locked () =
            Out_channel.with_open_bin tmp (fun oc ->
                output_string oc persist_magic;
                Marshal.to_channel oc
-                 (entries : ((string * int) * schedule) list) []))
+                 (entries : ((string * int * int) * schedule) list) []))
      with Sys_error _ -> ())
 
 let load_cache_locked p =
@@ -148,7 +150,7 @@ let load_cache_locked p =
       close_in ic;
       raise Exit
     end;
-    let entries : ((string * int) * schedule) list = Marshal.from_channel ic in
+    let entries : ((string * int * int) * schedule) list = Marshal.from_channel ic in
     close_in ic;
     List.iter (fun (k, v) -> Hashtbl.replace cache k v) entries
   with _ -> (try Sys.remove p with _ -> ())
@@ -170,15 +172,15 @@ let schedules_size () =
   Mutex.unlock cache_lock;
   n
 
-let cached_schedule ~fp ~n =
+let cached_schedule ~fp ~n ~jobs =
   Mutex.lock cache_lock;
-  let r = Hashtbl.find_opt cache (fp, shape_class n) in
+  let r = Hashtbl.find_opt cache (fp, shape_class n, jobs) in
   Mutex.unlock cache_lock;
   r
 
-let remember_schedule ~fp ~n s =
+let remember_schedule ~fp ~n ~jobs s =
   Mutex.lock cache_lock;
-  Hashtbl.replace cache (fp, shape_class n) s;
+  Hashtbl.replace cache (fp, shape_class n, jobs) s;
   save_cache_locked ();
   Mutex.unlock cache_lock
 
@@ -214,36 +216,38 @@ let choose_schedule_inner ~fp ~n ~jobs ~run =
   match !(Domain.DLS.get dls_force) with
   | Some s -> s
   | None ->
-    (match cached_schedule ~fp ~n with
+    (match cached_schedule ~fp ~n ~jobs with
      | Some s -> s
      | None ->
-       let cs = candidates ~n ~jobs in
-       let timed s =
-         let t0 = Wolf_obs.Clock.now_ns () in
-         run s;
-         (s, Wolf_obs.Clock.now_ns () - t0)
-       in
-       let measured = List.map timed cs in
-       Wolf_obs.Metrics.add (Lazy.force m_measurements) (List.length measured);
-       let best, best_t =
-         List.fold_left
-           (fun (bs, bt) (s, t) -> if t < bt then (s, t) else (bs, bt))
-           (Serial, max_int) measured
-       in
-       (match measured with
-        | (Serial, serial_t) :: _ when best_t > 0 ->
-          let g =
-            Wolf_obs.Metrics.gauge
-              ~help:"serial time / best schedule time, per loop"
-              ~labels:
-                [ ("loop", String.sub fp 0 (min 8 (String.length fp))) ]
-              "parloop_speedup"
-          in
-          Wolf_obs.Metrics.set_gauge g
-            (float_of_int serial_t /. float_of_int best_t)
-        | _ -> ());
-       remember_schedule ~fp ~n best;
-       best)
+       match candidates ~n ~jobs with
+       | [ s ] -> s
+       | cs ->
+         let timed s =
+           let t0 = Wolf_obs.Clock.now_ns () in
+           run s;
+           (s, Wolf_obs.Clock.now_ns () - t0)
+         in
+         let measured = List.map timed cs in
+         Wolf_obs.Metrics.add (Lazy.force m_measurements) (List.length measured);
+         let best, best_t =
+           List.fold_left
+             (fun (bs, bt) (s, t) -> if t < bt then (s, t) else (bs, bt))
+             (Serial, max_int) measured
+         in
+         (match measured with
+          | (Serial, serial_t) :: _ when best_t > 0 ->
+            let g =
+              Wolf_obs.Metrics.gauge
+                ~help:"serial time / best schedule time, per loop"
+                ~labels:
+                  [ ("loop", String.sub fp 0 (min 8 (String.length fp))) ]
+                "parloop_speedup"
+            in
+            Wolf_obs.Metrics.set_gauge g
+              (float_of_int serial_t /. float_of_int best_t)
+          | _ -> ());
+         remember_schedule ~fp ~n ~jobs best;
+         best)
 
 let choose_schedule ~fp ~n ~jobs ~run =
   let s = choose_schedule_inner ~fp ~n ~jobs ~run in

@@ -3,7 +3,8 @@
     chunks, runs them on the batch pool (the caller always claims
     chunks itself, so saturation degrades to serial instead of deadlocking),
     merges per-chunk results deterministically, and picks the chunking by
-    measurement, cached per (loop fingerprint, trip-count shape class). *)
+    measurement, cached per (loop fingerprint, trip-count shape class,
+    jobs). *)
 
 type schedule = Serial | Static of int | Dynamic of int
 (** [Static k]/[Dynamic k] = [k] contiguous chunks claimed from an atomic
@@ -33,7 +34,8 @@ val schedules_size : unit -> int
 
 val measurements : unit -> int
 (** Total schedule candidates measured so far (reads
-    [parloop_measurements_total]) — cache hits add zero. *)
+    [parloop_measurements_total]) — cache hits and lone candidates add
+    zero. *)
 
 val last_schedule : unit -> schedule option
 (** The schedule the most recent loop on this domain ran under (forced,

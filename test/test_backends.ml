@@ -254,7 +254,7 @@ let test_abort_strided_loop () =
   in
   Alcotest.(check int) "checks: prologue + chunk header (strip-mined)" 2
     (count (function Wir.Abort_check -> true | _ -> false));
-  let stride = Options.default.Options.abort_stride in
+  let stride = Opt_abort_stride.stride in
   let run name entry =
     Wolf_base.Abort_signal.clear ();
     (match entry 10 with

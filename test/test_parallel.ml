@@ -206,7 +206,7 @@ let test_abort_hooks_domain_local () =
             Module[{i = 0}, While[i < n, i = i + 1]; i]]|})
   in
   let nat = B.Native.compile c in
-  let stride = Options.default.Options.abort_stride in
+  let stride = Opt_abort_stride.stride in
   (* schedule an abort on the MAIN domain, then run the loop elsewhere: the
      other domain polls many times but must complete untouched *)
   Wolf_base.Abort_signal.abort_after 1;

@@ -198,7 +198,15 @@ let test_schedule_cache_hits () =
   (* same fingerprint, different trip-count shape class: a new search *)
   ignore (PR.with_jobs 4 (fun () -> Wolfram.call cf [ Expr.Int (64 * n) ]));
   Alcotest.(check bool) "new shape class re-measures" true
-    (PR.measurements () > m0)
+    (PR.measurements () > m0);
+  (* the key includes jobs: at jobs=1 serial is the only candidate, so
+     nothing is timed, and the first jobs=4 run still searches *)
+  PR.clear_schedules ();
+  let m1 = PR.measurements () in
+  ignore (PR.with_jobs 1 (fun () -> Wolfram.call cf [ Expr.Int n ]));
+  Alcotest.(check int) "jobs 1 measures nothing" m1 (PR.measurements ());
+  call cf;
+  Alcotest.(check bool) "jobs 1 -> 4 re-measures" true (PR.measurements () > m1)
 
 (* Two writers persisting schedule sidecars to one path at the same time
    (two wolfd processes sharing a disk cache) must leave a loadable file:

@@ -481,6 +481,136 @@ let test_inlining_of_declared_function () =
 
 (* ---------------- obligation passes ---------------- *)
 
+(* One table over the counted-loop recognizer: each case is a function
+   with one loop, compiled without abort handling (so strip-mining leaves
+   the loop alone) or built by hand where no source produces the shape.
+   Accepted cases pin every field of the record. *)
+type counted_expect = {
+  x_base : string;      (* guard primitive *)
+  x_iv : string;        (* name of the induction header parameter *)
+  x_bound : string;     (* name of the bound variable *)
+}
+
+let counted_cases () =
+  let src body =
+    let c =
+      compile ~options:{ Options.default with Options.abort_handling = false }
+        (Printf.sprintf
+           {|Function[{Typed[n, "MachineInteger"]}, Module[{s = 0, i = 1, k = 0, m = n}, %s; s]]|}
+           body)
+    in
+    Wir.main c.Pipeline.program
+  in
+  (* hand-built: b0 -> b1(i) -> {b2 -> b1 | b3 -> b1}, exit b4; or the
+     self loop b1 -> b1 with the step before the test *)
+  let by_hand ?(step3 = 1) ~self_loop () =
+    let int_var name = Wir.fresh_var ~name ~ty:Types.int64 () in
+    let n = int_var "n" and i = int_var "i" and i2 = int_var "i" and i3 = int_var "i" in
+    let g = Wir.fresh_var ~name:"g" ~ty:Types.boolean () in
+    let e = Wir.fresh_var ~name:"e" ~ty:Types.boolean () in
+    let prim base args_ty dst args =
+      Wir.Call { dst; callee = Wir.Resolved { base; mangled = base ^ "_" ^ args_ty }; args }
+    in
+    let step ?(k = 1) dst =
+      prim "checked_binary_plus" "I64_I64" dst [| Wir.Ovar i; Wir.Oconst (Wir.Cint k) |]
+    in
+    let jump target jargs = { Wir.target; jargs } in
+    let guard = prim "binary_less_equal" "I64_I64" g [| Wir.Ovar i; Wir.Ovar n |] in
+    let block label bparams instrs term = { Wir.label; bparams; instrs; term } in
+    let blocks =
+      if self_loop then
+        [ block 1 [| i |] [ step i2; guard ]
+            (Wir.Branch
+               { cond = Wir.Ovar g; if_true = jump 1 [| Wir.Ovar i2 |]; if_false = jump 4 [||] }) ]
+      else
+        [ block 1 [| i |] [ guard ]
+            (Wir.Branch { cond = Wir.Ovar g; if_true = jump 2 [||]; if_false = jump 4 [||] });
+          block 2 [||]
+            [ prim "unary_evenq" "I64" e [| Wir.Ovar i |]; step i2 ]
+            (Wir.Branch
+               { cond = Wir.Ovar e; if_true = jump 1 [| Wir.Ovar i2 |]; if_false = jump 3 [||] });
+          block 3 [||] [ step ~k:step3 i3 ] (Wir.Jump (jump 1 [| Wir.Ovar i3 |])) ]
+    in
+    { Wir.fname = "hand"; fparams = [| n |]; ret_ty = Some Types.int64; finline = false;
+      fsource = None;
+      blocks =
+        (block 0 [||] [ Wir.Load_argument { dst = n; index = 0 } ]
+           (Wir.Jump (jump 1 [| Wir.Oconst (Wir.Cint 1) |])))
+        :: blocks
+        @ [ block 4 [||] [] (Wir.Return (Wir.Ovar i)) ] }
+  in
+  let le = Some { x_base = "binary_less_equal"; x_iv = "i"; x_bound = "n" } in
+  [ ("i <= n", src "While[i <= n, s = s + i; i = i + 1]", le);
+    ("i < n", src "While[i < n, s = s + i; i = i + 1]",
+     Some { x_base = "binary_less"; x_iv = "i"; x_bound = "n" });
+    ("i through a copy", src "While[(k = i; k <= n), s = s + i; i = i + 1]", le);
+    ("two latches", by_hand ~self_loop:false (), le);
+    ("two latches, one steps by 2", by_hand ~step3:2 ~self_loop:false (), None);
+    ("step of 2", src "While[i <= n, s = s + i; i = i + 2]", None);
+    ("bound redefined in the body", src "While[i <= m, m = m - 1; i = i + 1]", None);
+    ("guard on a non-parameter", src "While[2*i <= n, s = s + i; i = i + 1]", None);
+    ("bottom-tested", by_hand ~self_loop:true (), None) ]
+
+let test_counted_loop_recognizer () =
+  List.iter
+    (fun (name, (f : Wir.func), expect) ->
+       let loops = Analysis.natural_loops f (Analysis.build_cfg f) in
+       let l = match loops with [ l ] -> l | _ -> Alcotest.failf "%s: not one loop" name in
+       match (Analysis.counted_loop f l, expect) with
+       | None, None -> ()
+       | Some _, None -> Alcotest.failf "%s: accepted" name
+       | None, Some _ -> Alcotest.failf "%s: rejected" name
+       | Some c, Some x ->
+         let hdr = Wir.find_block f l.Analysis.lheader in
+         let cond, if_false =
+           match hdr.Wir.term with
+           | Wir.Branch { cond = Wir.Ovar g; if_false; _ } -> (g, if_false)
+           | _ -> Alcotest.failf "%s: header does not branch" name
+         in
+         let check what = Alcotest.(check bool) (name ^ ": " ^ what) true in
+         check "guard is the branch condition" (c.Analysis.guard.Wir.vid = cond.Wir.vid);
+         check "guard callee"
+           (c.Analysis.guard_callee
+            = Wir.Resolved { base = x.x_base; mangled = x.x_base ^ "_I64_I64" });
+         check "strict" (c.Analysis.strict = (x.x_base = "binary_less"));
+         check "iv is the header parameter at iv_pos"
+           (hdr.Wir.bparams.(c.Analysis.iv_pos) == c.Analysis.iv);
+         (* Module locals are renamed [i$<id>] *)
+         let sym (v : Wir.var) = List.hd (String.split_on_char '$' v.Wir.vname) in
+         Alcotest.(check string) (name ^ ": iv") x.x_iv (sym c.Analysis.iv);
+         (match c.Analysis.bound with
+          | Wir.Ovar v ->
+            Alcotest.(check string) (name ^ ": bound") x.x_bound (sym v);
+            check "bound outside the loop" (not (Hashtbl.mem c.Analysis.defs v.Wir.vid))
+          | Wir.Oconst _ -> Alcotest.failf "%s: constant bound" name);
+         check "exit edge" (c.Analysis.exit_edge == if_false);
+         check "exits" (c.Analysis.exits && not (Analysis.loop_contains l if_false.Wir.target));
+         check "defs"
+           (Hashtbl.mem c.Analysis.defs c.Analysis.iv.Wir.vid
+            && Hashtbl.mem c.Analysis.defs c.Analysis.guard.Wir.vid
+            && Hashtbl.length c.Analysis.defs = Hashtbl.length (Analysis.loop_defs f l)))
+    (counted_cases ())
+
+let test_real_bound_not_counted () =
+  (* strip-mining and parallel loops do integer arithmetic on the bound,
+     so a Real64 bound must leave the loop uncounted, not fail at run time *)
+  let module R = Wolf_runtime.Rtval in
+  let run options src arg =
+    (Wolf_backends.Native.compile (compile ~options src)).R.call [| arg |]
+  in
+  Alcotest.(check bool) "Real64 variable bound (strip-mining)" true
+    (run Options.default
+       {|Function[{Typed[x, "Real64"]},
+          Module[{s = 0, i = 1}, While[i <= x, s = s + i; i = i + 1]; s]]|}
+       (R.Real 10.5)
+     = R.Int 55);
+  Alcotest.(check bool) "Real64 constant bound (parallel loops)" true
+    (run { Options.default with Options.parallel_loops = true }
+       {|Function[{Typed[n, "MachineInteger"]},
+          Module[{s = 0.0, i = 1}, While[i <= 10.5, s = s + 0.5; i = i + 1]; s]]|}
+       (R.Int 0)
+     = R.Real 5.0)
+
 let has_abort (b : Wir.block) =
   List.exists (function Wir.Abort_check -> true | _ -> false) b.Wir.instrs
 
@@ -523,23 +653,6 @@ let test_abort_uncounted_loop_checks_header () =
   let hdr = Wir.find_block main (List.hd loops).Analysis.lheader in
   Alcotest.(check bool) "header checks" true (has_abort hdr);
   Alcotest.(check int) "checks: prologue + header" 2 (count_checks c.Pipeline.program)
-
-let test_abort_stride_disabled () =
-  (* stride 1 disables strip-mining: every header keeps the immediate check *)
-  let options = { Options.default with Options.abort_stride = 1 } in
-  let c = compile ~options fn_src in
-  let main = Wir.main c.Pipeline.program in
-  let cfg = Analysis.build_cfg main in
-  let headers = Analysis.loop_headers main cfg in
-  List.iter
-    (fun l ->
-       Alcotest.(check bool)
-         (Printf.sprintf "loop header b%d immediate" l)
-         true
-         (has_abort (Wir.find_block main l)))
-    headers;
-  Alcotest.(check int) "checks: prologue + one per header"
-    (1 + List.length headers) (count_checks c.Pipeline.program)
 
 let test_abort_stride_outer_keeps_check () =
   (* only innermost call-free loops are strip-mined; the outer header stays
@@ -639,14 +752,27 @@ let test_memory_pass_skips_scalars () =
        (function Wir.Mem_acquire _ | Wir.Mem_release _ -> true | _ -> false)
        c.Pipeline.program)
 
+let promotion_src =
+  {|Function[{Typed[n, "MachineInteger"]},
+     Module[{a = ConstantArray[0, n]}, a[[1]] = 7; 0]]|}
+
 let test_mutability_promotion () =
   (* fresh array, single update, dead afterwards -> proven in-place *)
-  let c =
-    compile
-      {|Function[{Typed[n, "MachineInteger"]},
-         Module[{a = ConstantArray[0, n]}, a[[1]] = 7; 0]]|}
-  in
+  let c = compile promotion_src in
   Alcotest.(check bool) "promoted" true (c.Pipeline.inplace_updates >= 1)
+
+let test_promotion_reaches_backend () =
+  (* backends dispatch on the callee's base, so the promotion must rename
+     the base, not just the mangled name *)
+  let c = compile promotion_src in
+  let src = (Wolf_backends.Ocaml_emit.emit ~module_name:"M" c).Wolf_backends.Ocaml_emit.source in
+  let has needle =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length src && (String.sub src i n = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "in-place write emitted" true (has "~inplace:true");
+  Alcotest.(check bool) "no copying write" false (has "~inplace:false")
 
 let test_mutability_blocked_by_alias () =
   (* the array is aliased by b which is still live: must stay checked *)
@@ -662,8 +788,8 @@ let test_mutability_blocked_by_alias () =
   let inplace =
     count_instrs
       (function
-        | Wir.Call { callee = Wir.Resolved { mangled; _ }; _ } ->
-          Filename.check_suffix mangled "_inplace"
+        | Wir.Call { callee = Wir.Resolved { base; _ }; _ } ->
+          Filename.check_suffix base "_inplace"
         | _ -> false)
       c.Pipeline.program
   in
@@ -724,9 +850,10 @@ let tests =
     Alcotest.test_case "loop-invariant code motion" `Quick test_licm_hoists_invariant;
     Alcotest.test_case "licm can be disabled" `Quick test_licm_disabled;
     Alcotest.test_case "bounds-check elimination" `Quick test_bounds_check_elimination;
+    Alcotest.test_case "counted-loop recognizer" `Quick test_counted_loop_recognizer;
+    Alcotest.test_case "a Real64 bound is not counted" `Quick test_real_bound_not_counted;
     Alcotest.test_case "abort checks at loop heads + prologue" `Quick test_abort_placement;
     Alcotest.test_case "non-counted loops check every header" `Quick test_abort_uncounted_loop_checks_header;
-    Alcotest.test_case "abort stride 1 keeps immediate checks" `Quick test_abort_stride_disabled;
     Alcotest.test_case "abort stride spares outer headers" `Quick test_abort_stride_outer_keeps_check;
     Alcotest.test_case "leaf functions skip the prologue check" `Quick test_abort_leaf_prologue_elided;
     Alcotest.test_case "abort lands in a loop calling a leaf" `Quick test_abort_lands_in_loop_calling_leaf;
@@ -734,6 +861,7 @@ let tests =
     Alcotest.test_case "memory pass balance" `Quick test_memory_pass_balance;
     Alcotest.test_case "memory pass ignores scalars" `Quick test_memory_pass_skips_scalars;
     Alcotest.test_case "mutability promotion" `Quick test_mutability_promotion;
+    Alcotest.test_case "promotion reaches the OCaml export" `Quick test_promotion_reaches_backend;
     Alcotest.test_case "aliased update stays checked" `Quick test_mutability_blocked_by_alias;
     Alcotest.test_case "user pass injection (§4.7)" `Quick test_user_pass_injection;
     Alcotest.test_case "per-pass timings (E8)" `Quick test_pass_timings_recorded ]
