@@ -36,8 +36,11 @@ bench: build
 # \u%04x control-character escape is the fingerprint), or an abort poll
 # besides the read-only test of Abort_signal.pending (the retired strided
 # countdown's names may appear nowhere), a counted-loop induction-step
-# match besides Analysis.counted_loop, or a mangled name sliced anywhere
-# but Infer.with_base
+# match besides Analysis.counted_loop, a mangled name sliced anywhere
+# but Infer.with_base, or an allocation predicate (a match arm or-ing two
+# allocating primitives) besides Analysis.fresh_alloc
+ALLOC_PRIM = "(constant_array_(int|real)2?|array_(take|join|append|reverse)|to_character_code)"
+
 one-of-each:
 	@fail=0; \
 	check() { \
@@ -54,6 +57,8 @@ one-of-each:
 	  'a counted-loop step match'; \
 	check 'String\.sub [a-z_.]*mangled' lib/compiler/infer.ml \
 	  'a mangled-name slice'; \
+	check '$(ALLOC_PRIM) *\| *$(ALLOC_PRIM)' lib/compiler/analysis.ml \
+	  'an allocation predicate'; \
 	hits=$$(grep -rnE 'Abort_poll|wolf_poll_' lib bin); \
 	if [ -n "$$hits" ]; then \
 	  echo "one-of-each: a second abort-poll mechanism:"; echo "$$hits"; fail=1; \

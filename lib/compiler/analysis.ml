@@ -225,6 +225,24 @@ let def_table f =
     f.blocks;
   t
 
+(* The one allocation predicate: resolved primitives whose result is a new
+   packed array nothing else holds, on every backend that implements them
+   (the runtime's Array.init / Array.make / Tensor.map_real, and the C
+   runtime's wolf_*tensor_new).  [part_set*] is deliberately absent: a
+   checked update may hand back its own target. *)
+let fresh_alloc = function
+  | Call { callee = Resolved { base; _ }; _ } ->
+    (match base with
+     | "range" | "range2" | "constant_array_int" | "constant_array_real"
+     | "constant_array_int2" | "constant_array_real2" | "array_take"
+     | "to_character_code" | "array_reverse" | "array_join" | "array_append" ->
+       true
+     | _ ->
+       List.exists
+         (fun prefix -> String.starts_with ~prefix base)
+         [ "array_binary_"; "array_scalar_"; "array_unary_" ])
+  | _ -> false
+
 (* Follow SSA Copy chains to the root variable (value-preserving; the depth
    bound guards against un-linted cyclic input). *)
 let chase_copies defs v =

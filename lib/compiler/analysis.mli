@@ -43,6 +43,14 @@ val ensure_preheader : Wir.func -> header:int -> latches:int list -> int
 val def_table : Wir.func -> (int, Wir.instr) Hashtbl.t
 (** Defining instruction of each variable id (block parameters excluded). *)
 
+val fresh_alloc : Wir.instr -> bool
+(** The one allocation predicate: a resolved call whose result is a freshly
+    allocated packed array with a single reference ([Range], [ConstantArray],
+    [Take], [Join], [Append], [Reverse], [ToCharacterCode] and the
+    elementwise [array_binary_*] / [array_scalar_*] / [array_unary_*]
+    arithmetic).  Excludes [part_set*], whose result may be its target.
+    Shared by {!Mutability_pass} and {!Memory_pass}. *)
+
 val chase_copies : (int, Wir.instr) Hashtbl.t -> Wir.var -> Wir.var
 (** Follow SSA [Copy] chains from [def_table] to the root variable. *)
 

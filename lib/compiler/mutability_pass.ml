@@ -1,16 +1,12 @@
 open Wir
 
-(* Definitions that produce a fresh, unaliased value. *)
+(* Definitions that produce a fresh, unaliased value: an allocation, or a
+   previous update (a copy, or its own target proven unshared). *)
 let fresh_def = function
-  | Call { callee = Resolved { base; _ }; _ } ->
-    (match base with
-     | "range" | "range2" | "constant_array_int" | "constant_array_real"
-     | "constant_array_int2" | "constant_array_real2" | "array_take"
-     | "to_character_code" | "array_reverse" | "array_join" | "array_append" ->
-       true
-     | _ ->
-       String.length base >= 8 && String.sub base 0 8 = "part_set")
-  | _ -> false
+  | Call { callee = Resolved { base; _ }; _ }
+    when String.starts_with ~prefix:"part_set" base ->
+    true
+  | d -> Analysis.fresh_alloc d
 
 let run (p : program) =
   let promoted = ref 0 in

@@ -11,8 +11,10 @@
       counts maintained by {!Memory_pass} making it exact.
 
     The conservative static criterion for in-place: the target is defined by
-    a fresh allocation or a previous [SetPart] in the same function, is
-    never copied from, and this [SetPart] is its only remaining use. *)
+    a fresh allocation ({!Analysis.fresh_alloc}, the predicate the memory
+    pass's moves use too) or a previous [SetPart] in the same function,
+    possibly through single-use copies, is never copied from or captured,
+    and this [SetPart] is its only remaining use. *)
 
 val run : Wir.program -> int
 (** Returns the number of updates proven safe to run in place. *)

@@ -35,8 +35,9 @@
    so the zero-trip case never enters the runtime, and the runtime
    ({!Wolf_runtime.Par_runtime}) owns chunking, schedule search, and the
    merge.  Map chains are rewritten to [part_set_1_inplace] inside the
-   outline: the runtime hands every chunk a disjoint slice of one private
-   copy, which is exactly the copy-on-write outcome of the serial loop.
+   outline: the runtime hands every chunk a disjoint slice of one tensor,
+   the initial carry itself unless it is shared (then a private copy),
+   which is exactly the copy-on-write outcome of the serial loop.
 
    The fingerprint passed to the runtime is a digest of the outlined
    function's printed body with variable ids renumbered densely, so the

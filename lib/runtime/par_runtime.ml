@@ -6,11 +6,12 @@
    This module decides how to cut [lo..hi] into chunks, runs the chunks on
    the batch pool ({!Wolf_parallel.Pool.iter}), and merges the results:
 
-   - map: the carry is a packed tensor.  One private copy of the initial
-     tensor is taken up front (exactly what serial copy-on-write would do at
-     the first write when the input is aliased), every chunk writes its
-     disjoint index range into that copy in place, and the copy is the
-     result.
+   - map: the carry is a packed tensor.  Every chunk writes its disjoint
+     index range into one tensor in place, and that tensor is the result.
+     It is the initial tensor itself when its reference count says nothing
+     else holds it, and a private copy only when it is shared
+     ([Tensor.ensure_unique]) — exactly what the serial loop's
+     copy-on-write does at its first write.
    - reduce: the carry is a scalar.  Each chunk folds its range onto the
      operator's identity; the per-chunk partials are merged in chunk order
      and folded onto the real initial value, which equals the serial fold
@@ -278,21 +279,22 @@ let parallel_for_map args =
     else begin
       let jobs = current_jobs () in
       let n = hi - lo + 1 in
-      let run s =
-        (* one private copy up front = serial COW at the first write *)
-        let out = Tensor.copy init in
+      let run out s =
         exec_schedule ~jobs ~lo ~hi s (fun _ a b ->
-            ignore (f.call [| Tensor out; Int a; Int b |]));
-        out
+            ignore (f.call [| Tensor out; Int a; Int b |]))
       in
-      let s =
-        choose_schedule ~fp ~n ~jobs ~run:(fun s -> ignore (run s))
-      in
+      (* each measured candidate writes into a private copy; the chosen
+         schedule then writes where the serial loop's copy-on-write would:
+         into [init] itself unless another holder can still see it *)
+      let s = choose_schedule ~fp ~n ~jobs ~run:(fun s -> run (Tensor.copy init) s) in
       Wolf_obs.Trace.with_span ~cat:"parloop"
         ~args:(("schedule", Wolf_obs.Trace.arg_str (schedule_to_string s))
                :: Wolf_obs.Request_ctx.args_of_current ())
         "parallel_for_map"
-        (fun () -> Tensor (run s))
+        (fun () ->
+           let out = Tensor.ensure_unique init in
+           run out s;
+           Tensor out)
     end
   | _ -> bad args
 

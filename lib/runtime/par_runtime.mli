@@ -46,8 +46,10 @@ val shape_class : int -> int
 
 val parallel_for_map : Rtval.t array -> Rtval.t
 (** [[| Fun f; Tensor init; Int lo; Int hi; Int _; Str fingerprint |]]:
-    copy [init] once, run [f(copy, a, b)] over disjoint subranges writing in
-    place, return the copy.  [lo > hi] returns [init] unchanged. *)
+    run [f(out, a, b)] over disjoint subranges writing in place and return
+    [out], where [out] is [init] itself when unshared (reference count
+    [<= 1]) and a private copy otherwise.  Schedule-search candidates each
+    write into their own copy.  [lo > hi] returns [init] unchanged. *)
 
 val parallel_reduce : Rtval.t array -> Rtval.t
 (** [[| Fun f; init; Int lo; Int hi; Int opcode; Str fingerprint |]]: fold

@@ -250,6 +250,87 @@ let test_concurrent_schedule_writers () =
     (List.sort compare (Array.to_list (Sys.readdir dir)))
 
 (* ------------------------------------------------------------------ *)
+(* The map carry is copied only when it is shared                      *)
+
+(* mirrors an outlined map body: write iterations [a..b] of the carry *)
+let fill_map =
+  Rtval.Fun
+    { Rtval.arity = 3;
+      call =
+        (fun args ->
+           match args with
+           | [| Rtval.Tensor t; Rtval.Int a; Rtval.Int b |] ->
+             for i = a to b do Tensor.set_int t (i - 1) (3 * i) done;
+             Rtval.Tensor t
+           | _ -> assert false) }
+
+let map_n = 1000
+
+(* one map call at jobs=4, returning its result tensor; the schedule
+   search runs on the first call after [PR.clear_schedules] *)
+let run_map ~fp init =
+  PR.with_jobs 4 @@ fun () ->
+  match
+    PR.parallel_for_map
+      [| fill_map; Rtval.Tensor init; Rtval.Int 1; Rtval.Int map_n; Rtval.Int 0;
+         Rtval.Str fp |]
+  with
+  | Rtval.Tensor t -> t
+  | v -> Alcotest.failf "map returned %s" (Rtval.type_name v)
+
+let check_filled what t =
+  for i = 0 to map_n - 1 do
+    if Tensor.get_int t i <> 3 * (i + 1) then
+      Alcotest.failf "%s: element %d is %d" what (i + 1) (Tensor.get_int t i)
+  done
+
+let with_profile f =
+  Wolf_obs.Profile.reset ();
+  Wolf_obs.Profile.set_enabled true;
+  Fun.protect ~finally:(fun () -> Wolf_obs.Profile.set_enabled false) f
+
+let test_unshared_carry_in_place () =
+  PR.clear_schedules ();
+  with_profile @@ fun () ->
+  List.iter
+    (fun what ->
+       let init = Tensor.of_int_array (Array.make map_n 0) in
+       let m0 = PR.measurements () in
+       let out = run_map ~fp:"test-map-unshared" init in
+       if what = "search" then
+         Alcotest.(check bool) "the first call searched" true (PR.measurements () > m0);
+       Alcotest.(check bool) (what ^ ": result is the init tensor") true (out == init);
+       check_filled what out)
+    [ "search"; "cache hit" ];
+  (* the compiled loop: the moved ConstantArray is the carry *)
+  let cf =
+    compile
+      "Function[{Typed[n, \"MachineInteger\"]}, \
+       Module[{a = ConstantArray[0.0, n], i = 1}, \
+       While[i <= n, a[[i]] = 0.5*i + 1.0; i = i + 1]; a[[n]]]]"
+  in
+  ignore (PR.with_jobs 4 (fun () -> Wolfram.call cf [ Expr.Int 4096 ]));
+  Alcotest.(check int) "no copy-on-write copies" 0 (Wolf_obs.Profile.cow_copies ())
+
+let test_shared_carry_unchanged () =
+  PR.clear_schedules ();
+  List.iter
+    (fun what ->
+       let init = Tensor.of_int_array (Array.make map_n 0) in
+       Tensor.acquire init;
+       let m0 = PR.measurements () in
+       let out = run_map ~fp:"test-map-shared" init in
+       Alcotest.(check bool) (what ^ ": measured iff searching") (what = "search")
+         (PR.measurements () > m0);
+       Alcotest.(check bool) (what ^ ": result is a copy") false (out == init);
+       check_filled what out;
+       Alcotest.(check int) (what ^ ": init keeps its claims") 2 (Tensor.refcount init);
+       Alcotest.(check bool) (what ^ ": init unchanged") true
+         (Array.for_all (fun i -> Tensor.get_int init i = 0)
+            (Array.init map_n Fun.id)))
+    [ "search"; "cache hit" ]
+
+(* ------------------------------------------------------------------ *)
 (* Error and abort propagation out of chunks                           *)
 
 exception Boom of int
@@ -451,6 +532,10 @@ let tests =
       test_schedule_cache_hits;
     Alcotest.test_case "concurrent schedule writers, loadable file" `Quick
       test_concurrent_schedule_writers;
+    Alcotest.test_case "unshared map carry is written in place" `Quick
+      test_unshared_carry_in_place;
+    Alcotest.test_case "shared map carry is left unchanged" `Quick
+      test_shared_carry_unchanged;
     Alcotest.test_case "chunk exception propagates" `Quick
       test_chunk_exception_propagates;
     Alcotest.test_case "abort beats other chunk errors" `Quick

@@ -795,6 +795,154 @@ let test_mutability_blocked_by_alias () =
   in
   Alcotest.(check int) "aliased update stays checked" 0 inplace
 
+(* ---------------- exact reference counts: moves, claims, pins ---------------- *)
+
+let acquires (c : Pipeline.compiled) =
+  count_instrs (function Wir.Mem_acquire _ -> true | _ -> false) c.Pipeline.program
+
+(* E15's MapFill: the array is a fresh allocation whose binding is its
+   only use, so the binding is a move and the loop writes it in place *)
+let mapfill_src =
+  {|Function[{Typed[n, "MachineInteger"]},
+     Module[{a = ConstantArray[0.0, n], i = 1},
+      While[i <= n, a[[i]] = 0.5*i + 1.0; i = i + 1]; a[[n]]]]|}
+
+let test_fresh_binding_is_a_move () =
+  List.iter
+    (fun parallel_loops ->
+       let options = { Options.default with Options.opt_level = 2; parallel_loops } in
+       Alcotest.(check int)
+         (Printf.sprintf "no MemoryAcquire (parallel loops %b)" parallel_loops)
+         0 (acquires (compile ~options mapfill_src)))
+    [ false; true ];
+  (* tensor arithmetic allocates too: Blur's [out = img*0.0] *)
+  Alcotest.(check int) "scalar-times result is moved" 0
+    (acquires
+       (compile
+          {|Function[{Typed[v, "PackedArray"["Real64", 1]]},
+             Module[{out = v*0.0}, out[[1]] = 1.0; out]]|}))
+
+(* [f name compile] for the threaded backend and the JIT (when ocamlopt is
+   present) at O0, O1 and O2 *)
+let on_native_backends f =
+  let targets =
+    (Wolfram.Threaded, "threaded")
+    :: (if Wolf_backends.Jit.available () then [ (Wolfram.Jit, "jit") ] else [])
+  in
+  List.iter
+    (fun (target, tname) ->
+       List.iter
+         (fun opt_level ->
+            let options = { Options.default with Options.opt_level; use_cache = false } in
+            f (Printf.sprintf "%s O%d" tname opt_level) (fun src ->
+                Wolfram.function_compile ~options ~target (parse src)))
+         [ 0; 1; 2 ])
+    targets
+
+(* the standalone C binary built from [src] prints [expected] for [argv] *)
+let check_c name src ~argv expected =
+  if Lazy.force Test_cemit.have_cc then
+    match Wolf_backends.C_emit.emit_standalone (compile src) with
+    | Error e -> Alcotest.failf "%s: %s" name e
+    | Ok emitted ->
+      let code, line = Test_cemit.run_built emitted.Wolf_backends.C_emit.source ~argv in
+      Alcotest.(check int) (name ^ " exit") 0 code;
+      Alcotest.(check string) (name ^ " on C") expected line
+
+let expect_int name expected v =
+  if not (Expr.equal v (Expr.Int expected)) then
+    Alcotest.failf "%s: expected %d, got %s" name expected (Expr.to_string v)
+
+(* a copy of a parameter aliases the caller's tensor: it keeps its
+   acquire, so the update copies and the caller's tensor is untouched *)
+let test_parameter_copy_keeps_acquire () =
+  let src =
+    {|Function[{Typed[p, "PackedArray"["Integer64", 1]]},
+       Module[{b = p}, b[[1]] = 5; b]]|}
+  in
+  Alcotest.(check bool) "acquired" true (acquires (compile src) >= 1);
+  on_native_backends (fun name compile_fn ->
+      let cf = compile_fn src in
+      let t = Tensor.of_int_array [| 1; 2; 3 |] in
+      let r = Wolfram.call cf [ Expr.Tensor t ] in
+      Alcotest.(check (list int)) (name ^ ": caller's tensor") [ 1; 2; 3 ]
+        (List.init 3 (Tensor.get_int t));
+      Alcotest.(check string) (name ^ ": result") "{5, 2, 3}" (Form.input_form r));
+  check_c "parameter copy"
+    {|Function[{Typed[p, "PackedArray"["Integer64", 1]]},
+       Module[{b = p}, b[[1]] = 5; 100*b[[1]] + p[[1]]]]|}
+    ~argv:[ "{1, 2, 3}" ] "501"
+
+(* an alias made after a move holds its own reference *)
+let test_alias_of_moved_array () =
+  let src =
+    {|Function[{Typed[n, "MachineInteger"]},
+       Module[{a = ConstantArray[0, n], b}, b = a; a[[1]] = 5; b[[1]]]]|}
+  in
+  on_native_backends (fun name compile_fn ->
+      expect_int name 0 (Wolfram.call (compile_fn src) [ Expr.Int 3 ]));
+  expect_int "wvm" 0
+    (Wolfram.call (Wolfram.function_compile ~target:Wolfram.Bytecode (parse src))
+       [ Expr.Int 3 ]);
+  expect_int "interpreter" 0
+    (Wolfram.interpret_expr (Expr.Normal (parse src, [| Expr.Int 3 |])));
+  check_c "alias" src ~argv:[ "3" ] "0"
+
+(* closures capture arrays by value, like scalars: a later update of the
+   captured variable is invisible to the closure whether or not an
+   earlier update already copied the array, and whether or not the
+   closure was inlined (then its read moves past the update) *)
+let test_closure_captures_by_value () =
+  let closure_src ~earlier_write =
+    Printf.sprintf
+      {|Function[{Typed[n, "MachineInteger"]},
+         Module[{a = ConstantArray[0, n], f},
+          %s f = Function[{Typed[k, "MachineInteger"]}, a[[k]]];
+          a[[1]] = 5; f[1]]]|}
+      (if earlier_write then "a[[2]] = 1;" else "")
+  in
+  let loop_src =
+    {|Function[{Typed[n, "MachineInteger"]},
+       Module[{a = ConstantArray[0, n], f},
+        f = Function[{Typed[k, "MachineInteger"]}, a[[k]]];
+        Do[a[[i]] = i, {i, n}]; f[1]]]|}
+  in
+  let scalar_src =
+    {|Function[{Typed[n, "MachineInteger"]},
+       Module[{x = n, f}, f = Function[{Typed[k, "MachineInteger"]}, x + k];
+        x = 100; f[1]]]|}
+  in
+  on_native_backends (fun name compile_fn ->
+      let run src = Wolfram.call (compile_fn src) [ Expr.Int 3 ] in
+      expect_int (name ^ " after an earlier write") 0
+        (run (closure_src ~earlier_write:true));
+      expect_int (name ^ " first write") 0 (run (closure_src ~earlier_write:false));
+      expect_int (name ^ " loop writes") 0 (run loop_src);
+      expect_int (name ^ " scalar") 4 (run scalar_src))
+
+(* a compiled function may update its parameter in place when the
+   argument is unshared: the caller's array must stay intact while the
+   caller still reads it, also when it is passed twice *)
+let test_callee_parameter_write_is_private () =
+  let callee_src =
+    {|Function[{Typed[n, "MachineInteger"]},
+       Module[{a = ConstantArray[0, n], g, r},
+        g = Function[{Typed[p, "PackedArray"["Integer64", 1]]}, p[[1]] = 5; p];
+        r = g[a]; a[[1]] + 10*r[[1]]]]|}
+  in
+  let twice_src =
+    {|Function[{Typed[n, "MachineInteger"]},
+       Module[{a = ConstantArray[0, n], g},
+        g = Function[{Typed[p, "PackedArray"["Integer64", 1]],
+                      Typed[q, "PackedArray"["Integer64", 1]]},
+             p[[1]] = 5; 10*p[[1]] + q[[1]]];
+        g[a, a]]]|}
+  in
+  on_native_backends (fun name compile_fn ->
+      let run src = Wolfram.call (compile_fn src) [ Expr.Int 3 ] in
+      expect_int (name ^ " caller reads after the call") 50 (run callee_src);
+      expect_int (name ^ " passed twice") 50 (run twice_src))
+
 let test_user_pass_injection () =
   (* §4.7: users can inject passes into the pipeline *)
   let seen = ref 0 in
@@ -863,5 +1011,11 @@ let tests =
     Alcotest.test_case "mutability promotion" `Quick test_mutability_promotion;
     Alcotest.test_case "promotion reaches the OCaml export" `Quick test_promotion_reaches_backend;
     Alcotest.test_case "aliased update stays checked" `Quick test_mutability_blocked_by_alias;
+    Alcotest.test_case "a fresh array's binding is a move" `Quick test_fresh_binding_is_a_move;
+    Alcotest.test_case "a parameter copy keeps its acquire" `Quick test_parameter_copy_keeps_acquire;
+    Alcotest.test_case "an alias of a moved array" `Quick test_alias_of_moved_array;
+    Alcotest.test_case "closures capture arrays by value" `Quick test_closure_captures_by_value;
+    Alcotest.test_case "a callee's parameter write stays private" `Quick
+      test_callee_parameter_write_is_private;
     Alcotest.test_case "user pass injection (§4.7)" `Quick test_user_pass_injection;
     Alcotest.test_case "per-pass timings (E8)" `Quick test_pass_timings_recorded ]
