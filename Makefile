@@ -38,7 +38,9 @@ bench: build
 # countdown's names may appear nowhere), a counted-loop induction-step
 # match besides Analysis.counted_loop, a mangled name sliced anywhere
 # but Infer.with_base, or an allocation predicate (a match arm or-ing two
-# allocating primitives) besides Analysis.fresh_alloc
+# allocating primitives) besides Analysis.fresh_alloc; and no emitter
+# turns basic blocks into functions (`let rec blk`, named by `blk%d`): the
+# JIT emits loops as while loops
 ALLOC_PRIM = "(constant_array_(int|real)2?|array_(take|join|append|reverse)|to_character_code)"
 
 one-of-each:
@@ -62,6 +64,11 @@ one-of-each:
 	hits=$$(grep -rnE 'Abort_poll|wolf_poll_' lib bin); \
 	if [ -n "$$hits" ]; then \
 	  echo "one-of-each: a second abort-poll mechanism:"; echo "$$hits"; fail=1; \
+	fi; \
+	hits=$$(grep -rnE 'let rec blk|blk%d' lib bin); \
+	if [ -n "$$hits" ]; then \
+	  echo "one-of-each: block functions beside the structured emitter:"; \
+	  echo "$$hits"; fail=1; \
 	fi; \
 	if [ $$fail = 0 ]; then echo "one-of-each: ok"; fi; \
 	exit $$fail

@@ -97,7 +97,6 @@ let float_lit r =
 type ectx = {
   buf : Buffer.t;
   einline : bool;
-  vars : (int, var) Hashtbl.t;
   mutable consts : (string * Rtval.t * Types.t) list;
   mutable const_count : int;
   module_key : string;
@@ -293,26 +292,28 @@ let prelude = {|
 
 exception Wolf_rt = Wolf_base.Errors.Runtime_error
 
+(* the overflow tests of Wolf_base.Checked, spelled identically *)
 let[@inline always] wolf_add a b =
   let s = a + b in
-  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then
+  if (a lxor s) land (b lxor s) < 0 then
     raise (Wolf_rt Wolf_base.Errors.Integer_overflow)
   else s
 
 let[@inline always] wolf_sub a b =
   let s = a - b in
-  if (a >= 0) <> (b >= 0) && (s >= 0) <> (a >= 0) then
+  if (a lxor b) land (a lxor s) < 0 then
     raise (Wolf_rt Wolf_base.Errors.Integer_overflow)
   else s
 
+let wolf_mul_slow a b p =
+  if p / b <> a || (a = -1 && b = min_int) || (b = -1 && a = min_int) then
+    raise (Wolf_rt Wolf_base.Errors.Integer_overflow)
+  else p
+
 let[@inline always] wolf_mul a b =
-  if a = 0 || b = 0 then 0
-  else begin
-    let p = a * b in
-    if p / b <> a || (a = -1 && b = min_int) || (b = -1 && a = min_int) then
-      raise (Wolf_rt Wolf_base.Errors.Integer_overflow)
-    else p
-  end
+  let p = a * b in
+  if Float.abs (Float.of_int a *. Float.of_int b) < 0x1p61 then p
+  else wolf_mul_slow a b p
 
 let[@inline always] wolf_mod a b =
   if b = 0 then raise (Wolf_rt Wolf_base.Errors.Division_by_zero)
@@ -441,8 +442,9 @@ let boxed_prim_call ctx ~base ~args ~dst_ty =
     (Printf.sprintf "(Wolf_runtime.Prims.apply ~base:%S [| %s |])" base
        (String.concat "; " boxed_args))
 
-let emit_instr ctx b i =
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b ("      " ^ s ^ "\n")) fmt in
+(* One instruction as [let]-bound OCaml; [line] adds one line of output. *)
+let emit_instr ctx line i =
+  let line fmt = Printf.ksprintf line fmt in
   match i with
   | Load_argument _ -> ()
   | Abort_check -> line "let () = wolf_abort_check () in"
@@ -500,76 +502,234 @@ let emit_instr ctx b i =
   | Call { callee = Prim name; _ } ->
     invalid_arg ("ocaml_emit: unresolved primitive " ^ name)
 
+(* ---- structured control flow ------------------------------------------
+
+   A function's blocks become nested OCaml statements, walking the
+   reducible CFG down its dominator tree (after Ramsey, "Beyond Relooper",
+   ICFP 2022).  One int ref, [wolf_lbl], names the block control is going
+   to when a jump cannot be a nested statement:
+   - a loop header H is [while !wolf_lbl = H do ... done]; a back edge sets
+     [wolf_lbl := H] and falls through to [done];
+   - a labelled block M (two or more forward predecessors, or the target
+     of a loop-exit edge) runs under [if !wolf_lbl = M then ...], placed
+     after its immediate dominator's code, or after the [done] of the
+     outermost loop that contains the dominator but not M;
+   - every other block is inlined at its one jump.
+   Everything after a jump is guarded, so a jump is "set the label, fall
+   through".  Parameters of headers and labelled blocks, and values used
+   where their [let] is out of scope (after the loop defining them), live
+   in function-level refs that no closure captures, so ocamlopt keeps them
+   in registers and floats unboxed. *)
+
+module IS = Set.Make (Int)
+
+type shape = {
+  cfg : Analysis.cfg;
+  loop_at : (int, unit) Hashtbl.t;     (* loop header labels *)
+  labelled : (int, unit) Hashtbl.t;
+  inside : (int, int list) Hashtbl.t;  (* placed after a block's terminator *)
+  after : (int, int list) Hashtbl.t;   (* placed after a header's [done] *)
+  reload : (int, var list) Hashtbl.t;  (* read from their refs at block start *)
+  via_ref : (int, var) Hashtbl.t;      (* values kept in a ref *)
+}
+
+let listed tbl l = Option.value ~default:[] (Hashtbl.find_opt tbl l)
+
+(* a header or labelled block: control arrives through [wolf_lbl], its
+   parameters through refs *)
+let carried sh l = Hashtbl.mem sh.loop_at l || Hashtbl.mem sh.labelled l
+
+let inlined sh ~src dst =
+  not (Hashtbl.mem sh.labelled dst || Analysis.dominates sh.cfg dst src)
+
+let shape_of (f : func) =
+  let cfg = Analysis.build_cfg f in
+  (match Analysis.irreducible_edges f cfg with
+   | [] -> ()
+   | (s, d) :: _ ->
+     invalid_arg
+       (Printf.sprintf "ocaml_emit: %s: irreducible control flow (b%d -> b%d)"
+          f.fname s d));
+  let loops = Analysis.natural_loops f cfg in
+  let loop_at = Hashtbl.create 8 in
+  List.iter (fun (lp : Analysis.loop) -> Hashtbl.replace loop_at lp.lheader ()) loops;
+  (* loops containing a block, outermost first *)
+  let loops_of l =
+    List.filter (fun lp -> Analysis.loop_contains lp l) loops
+    |> List.stable_sort (fun (a : Analysis.loop) b -> compare a.ldepth b.ldepth)
+  in
+  let fwd = Hashtbl.create 16 and exit_target = Hashtbl.create 8 in
+  Array.iter
+    (fun l ->
+       List.iter
+         (fun s ->
+            if not (Analysis.dominates cfg s l) then begin
+              Hashtbl.replace fwd s (1 + Option.value ~default:0 (Hashtbl.find_opt fwd s));
+              if List.exists (fun lp -> not (Analysis.loop_contains lp s)) (loops_of l)
+              then Hashtbl.replace exit_target s ()
+            end)
+         (successors (find_block f l).term))
+    cfg.order;
+  let entry_label = (entry f).label in
+  let labelled = Hashtbl.create 8 in
+  Array.iter
+    (fun l ->
+       if l <> entry_label
+       && (Option.value ~default:0 (Hashtbl.find_opt fwd l) >= 2
+           || Hashtbl.mem exit_target l)
+       then Hashtbl.replace labelled l ())
+    cfg.order;
+  (* placement; walking the reverse postorder backwards and consing leaves
+     each list in reverse postorder, so a labelled block jumping forward to
+     another is placed before it *)
+  let inside = Hashtbl.create 8 and after = Hashtbl.create 8 in
+  let push tbl k l = Hashtbl.replace tbl k (l :: listed tbl k) in
+  for i = Array.length cfg.order - 1 downto 0 do
+    let l = cfg.order.(i) in
+    if Hashtbl.mem labelled l then begin
+      let d = Hashtbl.find cfg.idom l in
+      match List.find_opt (fun lp -> not (Analysis.loop_contains lp l)) (loops_of d) with
+      | Some lp -> push after lp.Analysis.lheader l
+      | None -> push inside d l
+    end
+  done;
+  let sh =
+    { cfg; loop_at; labelled; inside; after;
+      reload = Hashtbl.create 16; via_ref = Hashtbl.create 16 }
+  in
+  (* scopes: which values are [let]-bound where each block's code starts;
+     a use outside its definition's scope is reloaded from a ref *)
+  let visited = ref 0 in
+  let rec visit l scope =
+    incr visited;
+    let b = find_block f l in
+    let own =
+      Array.to_list b.bparams @ List.concat_map instr_defs b.instrs
+      |> List.map (fun v -> v.vid) |> IS.of_list
+    in
+    let bound = IS.union scope own in
+    let reload =
+      List.concat_map instr_uses b.instrs @ term_uses b.term
+      |> List.filter_map (function
+          | Ovar v when not (IS.mem v.vid bound) -> Some v
+          | _ -> None)
+      |> List.sort_uniq (fun a b -> compare a.vid b.vid)
+    in
+    Hashtbl.replace sh.reload l reload;
+    List.iter (fun v -> Hashtbl.replace sh.via_ref v.vid v) reload;
+    if carried sh l then Array.iter (fun v -> Hashtbl.replace sh.via_ref v.vid v) b.bparams;
+    let inner = List.fold_left (fun s v -> IS.add v.vid s) bound reload in
+    List.iter (fun s -> if inlined sh ~src:l s then visit s inner) (successors b.term);
+    List.iter (fun m -> visit m inner) (listed inside l);
+    List.iter (fun m -> visit m scope) (listed after l)
+  in
+  visit entry_label (IS.of_list (Array.to_list (Array.map (fun v -> v.vid) f.fparams)));
+  if !visited <> Array.length cfg.order then
+    invalid_arg (Printf.sprintf "ocaml_emit: %s: %d of %d blocks placed" f.fname
+                   !visited (Array.length cfg.order));
+  sh
+
+(* a value of the OCaml type for a ref's declaration; never read (floats
+   need a real float, or the unboxed ref would read through a pointer) *)
+let placeholder ty =
+  match Types.repr ty with
+  | Types.Con ("Integer64", _) -> "0"
+  | Types.Con ("Real64", _) -> "0."
+  | Types.Con ("Boolean", _) -> "false"
+  | Types.Con ("String", _) -> "\"\""
+  | Types.Con ("ComplexReal64", _) -> "(0., 0.)"
+  | Types.Con ("Void", _) -> "()"
+  | _ -> "(Obj.magic 0)"
+
 let emit_func ctx (f : func) ~first =
   let b = ctx.buf in
-  let live_in = Analysis.live_in f in
-  let fparam_ids = Hashtbl.create 8 in
-  Array.iter (fun v -> Hashtbl.replace fparam_ids v.vid ()) f.fparams;
-  let block_extra bl =
-    (* Live-in variables become extra leading parameters, sorted by id.
-       Function parameters are lexically in scope inside every block
-       function, so threading them would only lengthen the knot's argument
-       lists (pushing hot loops past the native tail-call register limit). *)
-    Hashtbl.fold (fun vid () acc -> vid :: acc) (Hashtbl.find live_in bl.label) []
-    |> List.filter (fun vid -> not (Hashtbl.mem fparam_ids vid))
-    |> List.sort compare
-    |> List.map (fun vid -> Hashtbl.find ctx.vars vid)
+  let sh = shape_of f in
+  let out ind s =
+    Buffer.add_string b (String.make ind ' ');
+    Buffer.add_string b s;
+    Buffer.add_char b '\n'
   in
+  let outf ind fmt = Printf.ksprintf (out ind) fmt in
+  let ty v = ocaml_ty (var_ty v) in
   let fname = fn_ocaml_name ctx f.fname in
   let params =
     if Array.length f.fparams = 0 then "()"
     else
       String.concat " "
         (Array.to_list
-           (Array.map
-              (fun v -> Printf.sprintf "(v%d : %s)" v.vid (ocaml_ty (var_ty v)))
-              f.fparams))
+           (Array.map (fun v -> Printf.sprintf "(v%d : %s)" v.vid (ty v)) f.fparams))
   in
-  let ret = match f.ret_ty with Some t -> ocaml_ty t | None -> "Wolf_runtime.Rtval.t" in
-  Buffer.add_string b
-    (Printf.sprintf "%s %s %s : %s =\n" (if first then "let rec" else "and") fname params ret);
-  (* blocks as mutually recursive local functions *)
-  let jump_call (j : jump) =
-    let tgt = Wir.find_block f j.target in
-    let extra = block_extra tgt in
-    let args =
-      List.map (fun v -> Printf.sprintf "v%d" v.vid) extra
-      @ Array.to_list (Array.map (operand_expr ctx) j.jargs)
-    in
-    if args = [] then Printf.sprintf "blk%d ()" j.target
-    else Printf.sprintf "blk%d %s" j.target (String.concat " " args)
+  let ret_ty = Option.value ~default:Types.expression f.ret_ty in
+  outf 0 "%s %s %s : %s =" (if first then "let rec" else "and") fname params
+    (ocaml_ty ret_ty);
+  out 2 "let wolf_lbl = ref 0 in";
+  outf 2 "let wolf_res : %s ref = ref %s in" (ocaml_ty ret_ty) (placeholder ret_ty);
+  Hashtbl.fold (fun _ v acc -> v :: acc) sh.via_ref []
+  |> List.sort (fun a b -> compare a.vid b.vid)
+  |> List.iter (fun v ->
+      outf 2 "let r%d : %s ref = ref %s in" v.vid (ty v) (placeholder (var_ty v)));
+  let store ind v = if Hashtbl.mem sh.via_ref v.vid then outf ind "r%d := v%d;" v.vid v.vid in
+  let rec block ind l =
+    let bl = find_block f l in
+    if carried sh l then
+      Array.iter (fun v -> outf ind "let v%d : %s = !r%d in" v.vid (ty v) v.vid) bl.bparams;
+    List.iter (fun v -> outf ind "let v%d : %s = !r%d in" v.vid (ty v) v.vid)
+      (Hashtbl.find sh.reload l);
+    List.iter
+      (fun i -> emit_instr ctx (out ind) i; List.iter (store ind) (instr_defs i))
+      bl.instrs;
+    (match bl.term with
+     | Return op ->
+       outf ind "wolf_res := %s; wolf_lbl := -1;" (operand_expr ctx op)
+     | Jump j -> jump ind l j
+     | Branch { cond; if_true; if_false } ->
+       outf ind "if %s then begin" (operand_expr ctx cond);
+       jump (ind + 2) l if_true;
+       out ind "end else begin";
+       jump (ind + 2) l if_false;
+       out ind "end;"
+     | Unreachable -> out ind "assert false;");
+    List.iter (placed ind) (listed sh.inside l)
+  and jump ind src (j : jump) =
+    let t = j.target in
+    let tparams = (find_block f t).bparams in
+    if inlined sh ~src t && not (Hashtbl.mem sh.loop_at t) then begin
+      out ind "begin";
+      Array.iteri
+        (fun k v ->
+           outf (ind + 2) "let v%d : %s = %s in" v.vid (ty v) (operand_expr ctx j.jargs.(k));
+           store (ind + 2) v)
+        tparams;
+      block (ind + 2) t;
+      out ind "end;"
+    end
+    else begin
+      Array.iteri
+        (fun k v ->
+           match j.jargs.(k) with
+           | Ovar a when a.vid = v.vid -> ()  (* a back edge passing it on *)
+           | a -> outf ind "r%d := %s;" v.vid (operand_expr ctx a))
+        tparams;
+      outf ind "wolf_lbl := %d;" t;
+      if inlined sh ~src t then loop ind t
+    end
+  and loop ind h =
+    outf ind "while !wolf_lbl = %d do" h;
+    block (ind + 2) h;
+    out ind "done;";
+    List.iter (placed ind) (listed sh.after h)
+  and placed ind m =
+    if Hashtbl.mem sh.loop_at m then loop ind m
+    else begin
+      outf ind "if !wolf_lbl = %d then begin" m;
+      block (ind + 2) m;
+      out ind "end;"
+    end
   in
-  List.iteri
-    (fun bi bl ->
-       let extra = block_extra bl in
-       let params =
-         List.map (fun v -> Printf.sprintf "(v%d : %s)" v.vid (ocaml_ty (var_ty v))) extra
-         @ Array.to_list
-             (Array.map
-                (fun v -> Printf.sprintf "(v%d : %s)" v.vid (ocaml_ty (var_ty v)))
-                bl.bparams)
-       in
-       let header =
-         Printf.sprintf "  %s blk%d %s =\n"
-           (if bi = 0 then "let rec" else "and")
-           bl.label
-           (if params = [] then "()" else String.concat " " params)
-       in
-       Buffer.add_string b header;
-       List.iter (emit_instr ctx b) bl.instrs;
-       let term =
-         match bl.term with
-         | Return op -> Printf.sprintf "      %s\n" (operand_expr ctx op)
-         | Jump j -> Printf.sprintf "      %s\n" (jump_call j)
-         | Branch { cond; if_true; if_false } ->
-           Printf.sprintf "      if %s then %s else %s\n" (operand_expr ctx cond)
-             (jump_call if_true) (jump_call if_false)
-         | Unreachable -> "      assert false\n"
-       in
-       Buffer.add_string b term)
-    f.blocks;
-  let entry_label = (Wir.entry f).label in
-  Buffer.add_string b (Printf.sprintf "  in blk%d ()\n\n" entry_label)
+  out 2 "begin";
+  block 4 (entry f).label;
+  out 2 "end;";
+  out 2 "!wolf_res\n"
 
 let emit ~module_name (c : Pipeline.compiled) =
   let prog = c.Pipeline.program in
@@ -577,7 +737,6 @@ let emit ~module_name (c : Pipeline.compiled) =
     {
       buf = Buffer.create 4096;
       einline = c.Pipeline.coptions.Wolf_compiler.Options.inline_level > 0;
-      vars = Hashtbl.create 128;
       consts = [];
       const_count = 0;
       module_key = module_name;
@@ -585,7 +744,6 @@ let emit ~module_name (c : Pipeline.compiled) =
       prog;
     }
   in
-  List.iter (fun f -> Wir.iter_vars f (fun v -> Hashtbl.replace ctx.vars v.vid v)) prog.funcs;
   Buffer.add_string ctx.buf prelude;
   (* constants are registered in Wolf_plugin by the host before loading;
      emitted below as module-level lets after function emission (we only know

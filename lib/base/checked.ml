@@ -1,22 +1,28 @@
 let overflow () = raise (Errors.Runtime_error Errors.Integer_overflow)
 let div_zero () = raise (Errors.Runtime_error Errors.Division_by_zero)
 
+(* The overflow tests, spelled identically in the JIT prelude
+   (Ocaml_emit): no materialised booleans, and no division unless the
+   product is near the edge of the range. *)
+
+(* a sum overflows iff it differs in sign from both operands *)
 let add_opt a b =
   let s = a + b in
-  (* Overflow iff operands share a sign that the sum does not. *)
-  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then None else Some s
+  if (a lxor s) land (b lxor s) < 0 then None else Some s
 
+(* a difference overflows iff the operands differ in sign and it differs
+   from the minuend *)
 let sub_opt a b =
   let s = a - b in
-  if (a >= 0) <> (b >= 0) && (s >= 0) <> (a >= 0) then None else Some s
+  if (a lxor b) land (a lxor s) < 0 then None else Some s
 
+(* below 2^61 the float estimate of |a*b| (relative error under 2^-51)
+   proves the product fits in 63 bits; otherwise check it exactly *)
 let mul_opt a b =
-  if a = 0 || b = 0 then Some 0
-  else begin
-    let p = a * b in
-    if p / b <> a || (a = -1 && b = min_int) || (b = -1 && a = min_int) then None
-    else Some p
-  end
+  let p = a * b in
+  if Float.abs (Float.of_int a *. Float.of_int b) < 0x1p61 then Some p
+  else if p / b <> a || (a = -1 && b = min_int) || (b = -1 && a = min_int) then None
+  else Some p
 
 let add a b = match add_opt a b with Some v -> v | None -> overflow ()
 let sub a b = match sub_opt a b with Some v -> v | None -> overflow ()

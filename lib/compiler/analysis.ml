@@ -86,6 +86,17 @@ let dominates cfg a b =
   in
   go b
 
+let irreducible_edges f cfg =
+  let rpo = Hashtbl.create 16 in
+  Array.iteri (fun i l -> Hashtbl.replace rpo l i) cfg.order;
+  Array.to_list cfg.order
+  |> List.concat_map (fun l ->
+      List.filter_map
+        (fun s ->
+           if Hashtbl.find rpo s <= Hashtbl.find rpo l && not (dominates cfg s l)
+           then Some (l, s) else None)
+        (successors (find_block f l).term))
+
 let loop_headers f cfg =
   let headers = Hashtbl.create 8 in
   List.iter
@@ -428,7 +439,6 @@ let liveness f =
   (live_in, live_out_t)
 
 let live_out f = snd (liveness f)
-let live_in f = fst (liveness f)
 
 let use_counts f =
   let counts = Hashtbl.create 64 in

@@ -14,6 +14,12 @@ type cfg = {
 val build_cfg : Wir.func -> cfg
 val dominates : cfg -> int -> int -> bool
 
+val irreducible_edges : Wir.func -> cfg -> (int * int) list
+(** Retreating edges [(src, dst)] of the reverse postorder whose target does
+    not dominate their source: empty exactly when the reachable CFG is
+    reducible, i.e. every cycle is a natural loop entered through its
+    header. *)
+
 val loop_headers : Wir.func -> cfg -> int list
 (** Labels that are the target of a back edge (their source being dominated
     by the target): the natural-loop headers where abort checks go. *)
@@ -92,10 +98,6 @@ val starts_at_least : Wir.func -> loop -> counted -> int -> bool
 
 val live_out : Wir.func -> (int, (int, unit) Hashtbl.t) Hashtbl.t
 (** Variable ids live out of each block. *)
-
-val live_in : Wir.func -> (int, (int, unit) Hashtbl.t) Hashtbl.t
-(** Variable ids live into each block (excluding the block's own
-    parameters). *)
 
 val use_counts : Wir.func -> (int, int) Hashtbl.t
 (** Total number of uses of each variable id in the function. *)

@@ -10,11 +10,10 @@
    a chain of live parameters — and deletes the dead ones together with the
    corresponding jump arguments.
 
-   Beyond tidiness this is a real optimisation for the OCaml-emitting
-   backends: blocks become mutually recursive functions, and tail calls
-   whose arguments exceed the native argument registers are compiled as
-   genuine calls.  Dropping dead parameters keeps hot loop knots under that
-   limit.  Only scalar-typed parameters are removed, so the mutability and
+   Beyond tidiness, every backend moves each parameter on every jump (the
+   JIT assigns it to a ref), so a dead one costs a move per jump; on the
+   JIT's structured loops fig2 measures no difference (DESIGN.md, loop
+   layer).  Only scalar-typed parameters are removed, so the mutability and
    memory-management passes never see a packed array's lifetime change
    shape here; a dead tensor parameter simply dies a block earlier, which
    those passes handle themselves.

@@ -241,7 +241,17 @@ let check_func f =
               List.iter (fun v -> Bytes.set live (idx_of v) '\001') (instr_defs ins))
            b.instrs;
          List.iter (use_check "terminator") (uses_vars (term_uses b.term)))
-      rblocks
+      rblocks;
+    (* ---- reducibility: every cycle is a natural loop (the structured
+       OCaml emitter nests code along loops and dominators) ---- *)
+    if !errors = [] then begin
+      let cfg = Analysis.build_cfg f in
+      List.iter
+        (fun (src, dst) ->
+           err "%s: irreducible control flow: b%d -> b%d re-enters a cycle that \
+                b%d does not dominate" f.fname src dst dst)
+        (Analysis.irreducible_edges f cfg)
+    end
   end;
   if !errors = [] then Ok () else Error (List.rev !errors)
 

@@ -26,6 +26,11 @@
        terminator (this is structural in the IR type, but arm agreement and
        operand types are checked here).}
     {- {b No orphans}: every block is reachable from the entry block.}
+    {- {b Reducibility}: every retreating edge of the reverse postorder
+       targets a block that dominates its source, so every cycle is a
+       natural loop entered through its header — the shape the structured
+       OCaml emitter ([Ocaml_emit]) relies on.  Checked only
+       when the function is otherwise well formed.}
     {- {b Program level}: [Func] callees and [New_closure] targets resolve
        to program functions, and call arity matches the callee's parameter
        count.}}

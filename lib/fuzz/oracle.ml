@@ -145,20 +145,40 @@ let fuzz_options level =
     Wolf_compiler.Options.opt_level = level;
     use_cache = false }
 
-let target_of = function
-  | Threaded -> Wolfram.Threaded
-  | Jit -> Wolfram.Jit
-  | Wvm -> Wolfram.Bytecode
-  | C | Binary | Serve | Tier | Par ->
-    Wolfram.Threaded  (* unused; these have own paths *)
-
-let run_native backend level fexpr args =
+let run_threaded level fexpr args =
   guard (fun () ->
       let cf =
         Wolfram.function_compile ~options:(fuzz_options level)
-          ~target:(target_of backend) fexpr
+          ~target:Wolfram.Threaded fexpr
       in
       Wolfram.call cf (Array.to_list args))
+
+(* The JIT arm compiles what perfbench's fig2 runs — the pipeline, then
+   ocamlopt — with no threaded fallback: [Wolfram.function_compile] answers
+   a JIT error with the threaded backend, which would test that backend
+   instead.  [Error] carries ocamlopt's diagnostic.  The CompiledCodeFunction
+   wrapper's soft fallback (F2) stays, as on the other in-process arms. *)
+let run_jit ~jit_compile level fexpr args =
+  match
+    Wolf_compiler.Pipeline.compile ~options:(fuzz_options level) ~name:"Main"
+      fexpr
+  with
+  | exception e -> Ok (guard (fun () -> raise e))
+  | c ->
+    match jit_compile c with
+    | Error _ as rejected -> rejected
+    | Ok closure ->
+      let module W = Wolf_compiler.Wir in
+      let main = W.main c.Wolf_compiler.Pipeline.program in
+      let ty v = Option.value ~default:Wolf_compiler.Types.expression v in
+      let cf =
+        B.Compiled_function.wrap ~name:"Main" ~source:fexpr
+          ~arg_tys:(Array.map (fun (v : W.var) -> ty v.W.vty) main.W.fparams)
+          ~ret_ty:(ty main.W.ret_ty) closure
+      in
+      Ok (guard (fun () -> B.Compiled_function.call cf args))
+
+let jit_skip_noted = Atomic.make false
 
 let run_wvm fexpr args =
   guard (fun () ->
@@ -419,7 +439,7 @@ let check_abort ~level fexpr args ref_outcome =
        A.abort_after k;
        let got =
          Fun.protect ~finally:(fun () -> A.clear ())
-           (fun () -> run_native Threaded level fexpr args)
+           (fun () -> run_threaded level fexpr args)
        in
        match got with
        | Aborted -> None
@@ -627,7 +647,8 @@ let check_par ~level ~abort fexpr args ref_outcome =
 (* ---- the oracle ------------------------------------------------------ *)
 
 let check_parsed ?(backends = [ Threaded; Wvm ]) ?(levels = [ 0; 1; 2 ])
-    ?(abort = true) ~wvm_ok ~c_ok ?(binary_ok = false) fexpr args =
+    ?(abort = true) ~wvm_ok ~c_ok ?(binary_ok = false)
+    ?(jit_compile = B.Jit.compile) fexpr args =
   Wolfram.init ();
   B.Compiled_function.quiet := true;
   let ref_outcome =
@@ -675,13 +696,31 @@ let check_parsed ?(backends = [ Threaded; Wvm ]) ?(levels = [ 0; 1; 2 ])
            List.concat_map
              (fun lvl -> check_par ~level:lvl ~abort fexpr args ref_outcome)
              lvls
-         | Threaded | Jit ->
+         | Threaded ->
            List.filter_map
              (fun lvl ->
-                mismatch
-                  (Printf.sprintf "%s/O%d" (backend_name b) lvl)
-                  (run_native b lvl fexpr args))
-             levels)
+                mismatch (Printf.sprintf "threaded/O%d" lvl)
+                  (run_threaded lvl fexpr args))
+             levels
+         | Jit ->
+           if not (B.Jit.available ()) then begin
+             if not (Atomic.exchange jit_skip_noted true) then
+               prerr_endline
+                 "fuzz: jit arm skipped: no ocamlopt or dune build tree";
+             []
+           end
+           else
+             List.filter_map
+               (fun lvl ->
+                  let where = Printf.sprintf "jit/O%d" lvl in
+                  match run_jit ~jit_compile lvl fexpr args with
+                  | Ok o -> mismatch where o
+                  | Error diag ->
+                    Some
+                      { fwhere = where ^ "/ocamlopt";
+                        fexpected = "an emitted module ocamlopt accepts";
+                        fgot = diag })
+               levels)
       backends
   in
   let abort_failures =

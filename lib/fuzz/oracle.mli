@@ -69,13 +69,21 @@ val par_stats : unit -> int * int
 val check_parsed :
   ?backends:backend list -> ?levels:int list -> ?abort:bool ->
   wvm_ok:bool -> c_ok:bool -> ?binary_ok:bool ->
+  ?jit_compile:
+    (Wolf_compiler.Pipeline.compiled ->
+     (Wolf_runtime.Rtval.closure, string) result) ->
   Wolf_wexpr.Expr.t -> Wolf_wexpr.Expr.t array -> failure list
 (** Differential check of an already-parsed [Function[...]] applied to
     [args] — the corpus-replay entry point.  [abort] (default true) also
     runs the abort-injection property; it is sound for any program since
     compiled prologues poll the abort flag.  [binary_ok] (default false)
     gates the [Binary] arm: the program must have a non-string result and
-    only parameter shapes the standalone driver can parse from argv. *)
+    only parameter shapes the standalone driver can parse from argv.
+    The [Jit] arm compiles through [Pipeline.compile] and [jit_compile]
+    (default {!Wolf_backends.Jit.compile}) with no threaded fallback; an
+    [Error] is a failure carrying the ocamlopt diagnostic, and the arm is
+    skipped, with a message on stderr, when {!Wolf_backends.Jit.available}
+    is false. *)
 
 val check_case :
   ?backends:backend list -> ?levels:int list -> ?abort:bool -> Ast.case ->

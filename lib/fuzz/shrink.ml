@@ -274,20 +274,31 @@ let candidates (case : case) : case list =
   in
   let local_vs = binding_vs (fun fn ls -> { fn with locals = ls }) (fun f -> f.locals) in
   let with_vs = binding_vs (fun fn ls -> { fn with withs = ls }) (fun f -> f.withs) in
-  (* inline a literal-initialised binding into its uses and drop it; for
-     mutable (Module) bindings only when nothing ever writes the name, and
-     never when the name is a Part/indexed-store target (a literal is not
-     representable there).  This collapses Var chains the pure drop/replace
-     reductions cannot (replacing a Var by an equal-sized literal never
-     strictly shrinks, so greedy shrinking would otherwise get stuck). *)
+  (* inline a binding into its uses and drop it, when its initialiser is
+     - a literal: for mutable (Module) bindings only when nothing ever
+       writes the name, and never when the name is a Part/indexed-store
+       target (a literal is not representable there);
+     - another name, bound outside this binding list (initialisers see the
+       enclosing scope): only when neither name is written or a Part
+       target, so both denote one value throughout.
+     This collapses Var chains the pure drop/replace reductions cannot
+     (replacing a Var by an equal-sized literal never strictly shrinks, so
+     greedy shrinking would otherwise get stuck). *)
   let inline_vs mk get ~mutable_ =
     let ls = get fn in
+    let fixed v = not (fn_assigns fn v || fn_part_target fn v) in
+    let inlinable l =
+      match l.linit with
+      | Var (w, _) ->
+        (not (List.exists (fun l' -> l'.lname = w) ls)) && fixed l.lname && fixed w
+      | e ->
+        is_literal e
+        && not ((mutable_ && fn_assigns fn l.lname) || fn_part_target fn l.lname)
+    in
     List.concat
       (List.mapi
          (fun i l ->
-            if not (is_literal l.linit) then []
-            else if (mutable_ && fn_assigns fn l.lname)
-                 || fn_part_target fn l.lname then []
+            if not (inlinable l) then []
             else
               let others = List.filteri (fun j _ -> j <> i) ls in
               [ with_fn (subst_fn l.lname l.linit (mk fn others)) ])

@@ -132,8 +132,59 @@ let prop_add_assoc =
          (Bignum.add (b x) (Bignum.add (b y) (b z)))
          (Bignum.add (Bignum.add (b x) (b y)) (b z)))
 
+(* Checked add/sub/mul raise exactly when the exact (Bignum) result leaves
+   OCaml's 63-bit int range, and otherwise return it.  Operands mix the
+   range edges (0, +-1, +-2^31, min_int, max_int, the neighbours of +-2^62
+   and of the float fast path's 2^61 bound) with random words shifted to
+   every magnitude. *)
+let overflow_edges =
+  let p31 = 1 lsl 31 and p61 = 1 lsl 61 in
+  [ 0; 1; -1; 2; -2; p31; -p31; p31 - 1; p31 + 1; -p31 - 1; -p31 + 1;
+    p61; -p61; p61 - 1; p61 + 1; -p61 - 1; max_int; max_int - 1; min_int;
+    min_int + 1; 3037000499; -3037000499 ]
+
+let checked_agrees (name, checked, opt, exact) (a, x) =
+  let want = Bignum.to_int_opt (exact (b a) (b x)) in
+  let raised =
+    match checked a x with
+    | v -> Some v
+    | exception Errors.Runtime_error Errors.Integer_overflow -> None
+  in
+  if raised = want && opt a x = want then true
+  else
+    QCheck2.Test.fail_reportf "%s %d %d: checked %s, exact %s" name a x
+      (Option.fold ~none:"raised" ~some:string_of_int raised)
+      (Option.fold ~none:"out of range" ~some:string_of_int want)
+
+let checked_ops =
+  [ ("add", Checked.add, Checked.add_opt, Bignum.add);
+    ("sub", Checked.sub, Checked.sub_opt, Bignum.sub);
+    ("mul", Checked.mul, Checked.mul_opt, Bignum.mul) ]
+
+let test_checked_edges () =
+  List.iter
+    (fun op ->
+       List.iter
+         (fun a -> List.iter (fun x -> ignore (checked_agrees op (a, x))) overflow_edges)
+         overflow_edges)
+    checked_ops
+
+let prop_checked_vs_bignum =
+  let operand =
+    QCheck2.Gen.(
+      oneof
+        [ oneofl overflow_edges;
+          map2 (fun w k -> w asr k) int (int_range 0 62) ])
+  in
+  QCheck2.Test.make ~name:"checked add/sub/mul raise iff the result leaves the int range"
+    ~count:2000 QCheck2.Gen.(pair operand operand)
+    (fun ops -> List.for_all (fun op -> checked_agrees op ops) checked_ops)
+
 let tests =
   [ Alcotest.test_case "of_int roundtrip" `Quick test_of_int_roundtrip;
+    Alcotest.test_case "checked arithmetic at the range edges" `Quick
+      test_checked_edges;
+    QCheck_alcotest.to_alcotest prop_checked_vs_bignum;
     Alcotest.test_case "to_string" `Quick test_to_string;
     Alcotest.test_case "of_string" `Quick test_of_string;
     Alcotest.test_case "add carries" `Quick test_add_carry;

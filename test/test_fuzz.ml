@@ -63,6 +63,33 @@ let test_regressions_on_binary () =
   |> List.iter (fun e ->
       check_clean ~backends:[ Oracle.Binary ] ~levels:[ 0; 2 ] e)
 
+(* the jit arm compiles with no threaded fallback: a module ocamlopt
+   rejects is a failure that carries the diagnostic *)
+let test_jit_arm_reports_rejection () =
+  if Wolf_backends.Jit.available () then begin
+    let fexpr =
+      Wolf_wexpr.Parser.parse {|Function[{Typed[n, "MachineInteger"]}, n + 1]|}
+    in
+    let args = [| Wolf_wexpr.Expr.Int 41 |] in
+    let check ?jit_compile () =
+      Oracle.check_parsed ~backends:[ Oracle.Jit ] ~levels:[ 1 ] ~abort:false
+        ~wvm_ok:false ~c_ok:false ?jit_compile fexpr args
+    in
+    (match check () with
+     | [] -> ()
+     | fs -> Alcotest.failf "jit arm: %s" (String.concat "; " (List.map failure_str fs)));
+    let reject _ = Error "ocamlopt failed:\nFile \"wolfjit.ml\": injected" in
+    match check ~jit_compile:reject () with
+    | [ f ] ->
+      Alcotest.(check string) "where" "jit/O1/ocamlopt" f.Oracle.fwhere;
+      Alcotest.(check bool) ("carries the diagnostic: " ^ f.Oracle.fgot) true
+        (String.length f.Oracle.fgot >= 8
+         && String.sub f.Oracle.fgot (String.length f.Oracle.fgot - 8) 8 = "injected")
+    | fs ->
+      Alcotest.failf "a rejected module gave %d failures: %s" (List.length fs)
+        (String.concat "; " (List.map failure_str fs))
+  end
+
 (* ---- shrinker properties --------------------------------------------- *)
 
 let gen_case seed =
@@ -104,6 +131,18 @@ let prop_trivial_predicate_minimises =
       let small = Shrink.shrink ~fails:(fun _ -> true) case in
       Ast.size small.Ast.fn <= 4)
 
+(* seeds that once stuck at size 6 on With[{w = ConstantArray[c, k]},
+   Module[{m = w}, m]]: a binding initialised to another name must inline *)
+let test_trivial_predicate_regressions () =
+  List.iter
+    (fun seed ->
+       let small = Shrink.shrink ~fails:(fun _ -> true) (gen_case seed) in
+       let n = Ast.size small.Ast.fn in
+       if n > 4 then
+         Alcotest.failf "seed %d shrinks to size %d: %s" seed n
+           (Ast.to_source small.Ast.fn))
+    [ 874; 4000; 4770; 7496; 8256; 11207; 19256; 56625 ]
+
 (* every one-step candidate strictly decreases the measure when accepted:
    the shrinker's termination argument, probed via the greedy chain length *)
 let prop_candidates_same_type =
@@ -130,6 +169,10 @@ let tests =
     Alcotest.test_case "corpus replay (threaded+wvm, O0-O2, abort)" `Slow
       test_corpus_replay;
     Alcotest.test_case "regressions on jit" `Slow test_regressions_on_jit;
+    Alcotest.test_case "jit arm reports a rejected module" `Quick
+      test_jit_arm_reports_rejection;
+    Alcotest.test_case "always-true shrinks past name-bound bindings" `Quick
+      test_trivial_predicate_regressions;
     Alcotest.test_case "regressions on par (repeated calls)" `Quick
       test_regressions_on_par;
     Alcotest.test_case "regressions as built binaries" `Slow

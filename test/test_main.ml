@@ -24,4 +24,5 @@ let () =
       ("obs-request (request tracing + flight recorder)", Test_obs_request.tests);
       ("serve (wolfd daemon)", Test_serve.tests);
       ("tier (adaptive execution + disk cache)", Test_tier.tests);
-      ("parloop (data-parallel loops)", Test_parloop.tests) ]
+      ("parloop (data-parallel loops)", Test_parloop.tests);
+      ("jit (structured emission)", Test_jit.tests) ]

@@ -149,6 +149,31 @@ let test_verify_orphan_block () =
   in
   expect_error_mentions "orphan block" "orphan" f
 
+let test_verify_irreducible () =
+  (* b0 enters the cycle b1 <-> b2 at both blocks: no header dominates it *)
+  let jump t = { Wir.target = t; jargs = [||] } in
+  let cond = Wir.Oconst (Wir.Cbool true) in
+  let block label term = { Wir.label; bparams = [||]; instrs = []; term } in
+  let f =
+    mk_f
+      [ block 0 (Wir.Branch { cond; if_true = jump 1; if_false = jump 2 });
+        block 1 (Wir.Jump (jump 2));
+        block 2 (Wir.Branch { cond; if_true = jump 1; if_false = jump 3 });
+        block 3 (Wir.Return (Wir.Oconst (Wir.Cint 0))) ]
+  in
+  expect_error_mentions "two-entry cycle" "irreducible" f;
+  (* the same cycle entered only through b1 is a natural loop *)
+  let g =
+    mk_f
+      [ block 0 (Wir.Jump (jump 1));
+        block 1 (Wir.Jump (jump 2));
+        block 2 (Wir.Branch { cond; if_true = jump 1; if_false = jump 3 });
+        block 3 (Wir.Return (Wir.Oconst (Wir.Cint 0))) ]
+  in
+  match Wir_verify.check_func g with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "natural loop rejected: %s" (String.concat "; " es)
+
 let test_verify_bad_terminator () =
   (* branch on a string condition, arms targeting a missing block *)
   let f =
@@ -977,6 +1002,8 @@ let tests =
     Alcotest.test_case "verify rejects jump type mismatch" `Quick test_verify_jump_type_mismatch;
     Alcotest.test_case "verify rejects copy type mismatch" `Quick test_verify_copy_type_mismatch;
     Alcotest.test_case "verify rejects orphan blocks" `Quick test_verify_orphan_block;
+    Alcotest.test_case "verify rejects irreducible control flow" `Quick
+      test_verify_irreducible;
     Alcotest.test_case "verify rejects bad terminators" `Quick test_verify_bad_terminator;
     Alcotest.test_case "verify rejects return type mismatch" `Quick test_verify_return_type_mismatch;
     Alcotest.test_case "verify rejects load-argument range" `Quick test_verify_load_argument_range;
